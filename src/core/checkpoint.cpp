@@ -10,6 +10,14 @@ namespace jacepp::core::checkpoint {
 
 namespace {
 
+/// Byte size of the prologue write_header emits.
+std::size_t header_size(std::uint64_t baseline_id, std::uint64_t delta_seq,
+                        std::uint32_t chunk_size, std::size_t state_size) {
+  return 1 + serial::varint_size(baseline_id) +
+         serial::varint_size(delta_seq) + serial::varint_size(chunk_size) +
+         serial::varint_size(state_size) + 4;
+}
+
 /// Shared frame prologue: everything up to (not including) the payload.
 void write_header(serial::Writer& w, FrameKind kind, std::uint64_t baseline_id,
                   std::uint64_t delta_seq, std::uint32_t chunk_size,
@@ -36,10 +44,28 @@ serial::Bytes encode_full_frame(std::uint64_t baseline_id,
                                 const serial::Bytes& state) {
   JACEPP_ASSERT(chunk_size > 0);
   serial::Writer w;
+  w.reserve(header_size(baseline_id, 0, chunk_size, state.size()) +
+            serial::varint_size(state.size()) + state.size() + 4);
   write_header(w, FrameKind::Full, baseline_id, /*delta_seq=*/0, chunk_size,
                state);
   w.bytes(state);
   return seal(std::move(w));
+}
+
+std::size_t delta_frame_size(std::uint64_t baseline_id,
+                             std::uint64_t delta_seq, std::uint32_t chunk_size,
+                             std::size_t state_size,
+                             const std::vector<std::uint32_t>& chunk_indices) {
+  std::size_t size = header_size(baseline_id, delta_seq, chunk_size,
+                                 state_size) +
+                     serial::varint_size(chunk_indices.size()) + 4;
+  for (const std::uint32_t index : chunk_indices) {
+    const std::size_t lo = static_cast<std::size_t>(index) * chunk_size;
+    JACEPP_ASSERT(lo < state_size);
+    const std::size_t len = std::min<std::size_t>(state_size - lo, chunk_size);
+    size += serial::varint_size(index) + serial::varint_size(len) + len;
+  }
+  return size;
 }
 
 serial::Bytes encode_delta_frame(
@@ -48,15 +74,15 @@ serial::Bytes encode_delta_frame(
     const std::vector<std::uint32_t>& chunk_indices) {
   JACEPP_ASSERT(chunk_size > 0 && delta_seq > 0);
   serial::Writer w;
+  w.reserve(delta_frame_size(baseline_id, delta_seq, chunk_size, state.size(),
+                             chunk_indices));
   write_header(w, FrameKind::Delta, baseline_id, delta_seq, chunk_size, state);
   w.varint(chunk_indices.size());
   for (const std::uint32_t index : chunk_indices) {
     const std::size_t lo = static_cast<std::size_t>(index) * chunk_size;
-    JACEPP_ASSERT(lo < state.size());
-    const std::size_t hi = std::min(state.size(), lo + chunk_size);
+    const std::size_t len = std::min<std::size_t>(state.size() - lo, chunk_size);
     w.varint(index);
-    w.bytes(serial::Bytes(state.begin() + static_cast<std::ptrdiff_t>(lo),
-                          state.begin() + static_cast<std::ptrdiff_t>(hi)));
+    w.bytes(state.data() + lo, len);
   }
   return seal(std::move(w));
 }
@@ -205,13 +231,19 @@ DeltaEncoder::Emitted DeltaEncoder::emit(
         scratch_chunks_.push_back(static_cast<std::uint32_t>(c));
       }
     }
-    out.frame = encode_delta_frame(h.baseline_id, h.delta_seq + 1,
-                                   policy_.chunk_size, state, scratch_chunks_);
     // A delta carrying nearly every chunk is no cheaper than a baseline and
-    // would only lengthen the chain a rollback must replay.
-    if (out.frame.size() >= state.size()) {
+    // would only lengthen the chain a rollback must replay. Sizing it first
+    // means a delta that would lose to the baseline is never encoded.
+    const std::size_t delta_size =
+        delta_frame_size(h.baseline_id, h.delta_seq + 1, policy_.chunk_size,
+                         state.size(), scratch_chunks_);
+    if (delta_size >= state.size()) {
       full = true;
     } else {
+      out.frame = encode_delta_frame(h.baseline_id, h.delta_seq + 1,
+                                     policy_.chunk_size, state,
+                                     scratch_chunks_);
+      JACEPP_ASSERT(out.frame.size() == delta_size);
       ++h.delta_seq;
       h.chain_bytes += out.frame.size();
       std::fill(h.dirty.begin(), h.dirty.end(), 0);

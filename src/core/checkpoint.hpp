@@ -126,6 +126,13 @@ serial::Bytes encode_full_frame(std::uint64_t baseline_id,
                                 std::uint32_t chunk_size,
                                 const serial::Bytes& state);
 
+/// Exact byte size of encode_delta_frame() for these arguments, computed
+/// from the varint lengths without encoding anything.
+std::size_t delta_frame_size(std::uint64_t baseline_id,
+                             std::uint64_t delta_seq, std::uint32_t chunk_size,
+                             std::size_t state_size,
+                             const std::vector<std::uint32_t>& chunk_indices);
+
 /// Encode a delta frame carrying `chunk_indices` (sorted, unique) of `state`.
 serial::Bytes encode_delta_frame(std::uint64_t baseline_id,
                                  std::uint64_t delta_seq,

@@ -90,9 +90,13 @@ class Writer {
     buffer_.insert(buffer_.end(), s.begin(), s.end());
   }
 
-  void bytes(const Bytes& b) {
-    varint(b.size());
-    buffer_.insert(buffer_.end(), b.begin(), b.end());
+  void bytes(const Bytes& b) { bytes(b.data(), b.size()); }
+
+  /// Same encoding as bytes(Bytes) for a span of a larger buffer, so callers
+  /// can write a slice without copying it into a temporary first.
+  void bytes(const std::uint8_t* data, std::size_t size) {
+    varint(size);
+    buffer_.insert(buffer_.end(), data, data + size);
   }
 
   /// Vector of doubles: varint length + raw IEEE-754 payload. Templated over
@@ -132,6 +136,9 @@ class Writer {
     varint(values.size());
     for (const auto& v : values) v.serialize(*this);
   }
+
+  /// Pre-size the buffer for an encoding whose length is known up front.
+  void reserve(std::size_t n) { buffer_.reserve(n); }
 
   [[nodiscard]] const Bytes& data() const { return buffer_; }
   [[nodiscard]] Bytes take() { return std::move(buffer_); }

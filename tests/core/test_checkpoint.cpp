@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <optional>
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "core/backup.hpp"
 #include "serial/checksum.hpp"
@@ -109,6 +114,258 @@ TEST(CheckpointCodec, EverySingleByteFlipIsRejected) {
     EXPECT_FALSE(checkpoint::decode_frame(corrupt).has_value())
         << "flip at byte " << i << " decoded";
   }
+}
+
+TEST(CheckpointCodec, DeltaFrameSizeIsExact) {
+  // Ids and sequence numbers across varint width boundaries, chunk lists from
+  // empty to every chunk, with and without a short tail chunk.
+  std::mt19937_64 rng(5);
+  for (const std::size_t size : {std::size_t{1}, std::size_t{31},
+                                 std::size_t{32}, std::size_t{300},
+                                 std::size_t{5000}}) {
+    const Bytes state = random_state(rng, size);
+    const std::uint32_t chunks = static_cast<std::uint32_t>((size + 31) / 32);
+    for (const std::uint64_t id : {std::uint64_t{1}, std::uint64_t{127},
+                                   std::uint64_t{128}, std::uint64_t{1} << 40}) {
+      std::vector<std::uint32_t> indices;
+      for (std::uint32_t c = 0; c < chunks; ++c) {
+        if (rng() % 3 != 0) indices.push_back(c);
+      }
+      for (const auto& list : {std::vector<std::uint32_t>{}, indices}) {
+        const Bytes frame =
+            checkpoint::encode_delta_frame(id, id + 1, 32, state, list);
+        EXPECT_EQ(checkpoint::delta_frame_size(id, id + 1, 32, size, list),
+                  frame.size())
+            << "size " << size << " id " << id << " chunks " << list.size();
+      }
+    }
+  }
+}
+
+// --- Emit rule -------------------------------------------------------------
+
+/// The emit rule the encoder had before it sized deltas first: always encode
+/// the delta, keep it only if it is smaller than the state, else encode a
+/// baseline. DeltaEncoder must reproduce it frame for frame.
+class EncodeThenCompareEncoder {
+ public:
+  EncodeThenCompareEncoder(CheckpointPolicy policy, std::size_t holder_count)
+      : policy_(policy), holders_(holder_count) {}
+
+  DeltaEncoder::Emitted emit(std::size_t holder, const Bytes& state,
+                             const std::optional<DirtyRanges>& hints) {
+    refresh(state, hints);
+    Holder& h = holders_[holder];
+    const std::uint64_t budget =
+        policy_.chain_byte_budget != 0
+            ? policy_.chain_byte_budget
+            : std::max<std::uint64_t>(state.size(), 1);
+    DeltaEncoder::Emitted out;
+    if (!h.needs_full && h.baseline_id != 0 &&
+        h.delta_seq < policy_.rebase_every && h.chain_bytes < budget) {
+      std::vector<std::uint32_t> chunks;
+      for (std::size_t c = 0; c < h.dirty.size(); ++c) {
+        if (h.dirty[c]) chunks.push_back(static_cast<std::uint32_t>(c));
+      }
+      out.frame = checkpoint::encode_delta_frame(
+          h.baseline_id, h.delta_seq + 1, policy_.chunk_size, state, chunks);
+      if (out.frame.size() < state.size()) {
+        ++h.delta_seq;
+        h.chain_bytes += out.frame.size();
+        h.dirty.assign(h.dirty.size(), false);
+        out.kind = FrameKind::Delta;
+        out.baseline_id = h.baseline_id;
+        out.delta_seq = h.delta_seq;
+        out.chunks_carried = chunks.size();
+        return out;
+      }
+    }
+    const std::uint64_t id = next_baseline_id_++;
+    out.frame = checkpoint::encode_full_frame(id, policy_.chunk_size, state);
+    out.kind = FrameKind::Full;
+    out.baseline_id = id;
+    out.delta_seq = 0;
+    out.chunks_carried = chunk_count(state.size());
+    h.baseline_id = id;
+    h.delta_seq = 0;
+    h.chain_bytes = 0;
+    h.needs_full = false;
+    h.dirty.assign(h.dirty.size(), false);
+    return out;
+  }
+
+  void mark_needs_full(std::size_t holder) {
+    holders_[holder].needs_full = true;
+  }
+
+ private:
+  struct Holder {
+    std::uint64_t baseline_id = 0;
+    std::uint64_t delta_seq = 0;
+    std::uint64_t chain_bytes = 0;
+    bool needs_full = true;
+    std::vector<bool> dirty;  ///< per chunk
+  };
+
+  std::size_t chunk_count(std::size_t size) const {
+    return (size + policy_.chunk_size - 1) / policy_.chunk_size;
+  }
+
+  void refresh(const Bytes& state, const std::optional<DirtyRanges>& hints) {
+    const std::size_t chunks = chunk_count(state.size());
+    if (prev_.size() != state.size()) {
+      for (auto& h : holders_) {
+        h.needs_full = true;
+        h.dirty.assign(chunks, false);
+      }
+      prev_ = state;
+      return;
+    }
+    std::vector<bool> candidate(chunks, !hints.has_value() || hints->all);
+    if (hints.has_value() && !hints->all) {
+      for (const auto& [lo, hi] : hints->ranges) {
+        if (lo >= state.size()) continue;
+        const std::size_t end = std::min(hi, state.size());
+        for (std::size_t c = lo / policy_.chunk_size;
+             c <= (end - 1) / policy_.chunk_size; ++c) {
+          candidate[c] = true;
+        }
+      }
+    }
+    for (std::size_t c = 0; c < chunks; ++c) {
+      const std::size_t lo = c * policy_.chunk_size;
+      const std::size_t len =
+          std::min<std::size_t>(state.size() - lo, policy_.chunk_size);
+      if (!candidate[c] ||
+          std::memcmp(prev_.data() + lo, state.data() + lo, len) == 0) {
+        continue;
+      }
+      std::memcpy(prev_.data() + lo, state.data() + lo, len);
+      for (auto& h : holders_) h.dirty[c] = true;
+    }
+  }
+
+  CheckpointPolicy policy_;
+  Bytes prev_;
+  std::uint64_t next_baseline_id_ = 1;
+  std::vector<Holder> holders_;
+};
+
+/// Drive DeltaEncoder and the encode-then-compare reference through the same
+/// random saves (honest, missing, lying and all-dirty hints; unchanged
+/// states; forced rebases) and require identical output every time. Returns
+/// {fulls, deltas} so callers can check both branches were taken.
+std::pair<int, int> expect_same_emits(std::size_t state_size,
+                                      std::uint64_t seed) {
+  CheckpointPolicy policy;  // the shipped 4096-byte chunks
+  policy.rebase_every = 6;
+  constexpr std::size_t kHolders = 3;
+  DeltaEncoder encoder(policy, kHolders);
+  EncodeThenCompareEncoder reference(policy, kHolders);
+  std::mt19937_64 rng(seed);
+  Bytes state = random_state(rng, state_size);
+  std::uniform_int_distribution<std::size_t> pos(0, state_size - 1);
+
+  int fulls = 0;
+  int deltas = 0;
+  for (int step = 0; step < 300; ++step) {
+    std::optional<DirtyRanges> hints = DirtyRanges{};
+    switch (rng() % 6) {
+      case 0:  // large honest edits
+        hints = mutate(rng, state, 1 + static_cast<int>(rng() % 3));
+        break;
+      case 1:  // small honest edits: a few bytes in a few chunks
+        for (int i = 0, n = 1 + static_cast<int>(rng() % 3); i < n; ++i) {
+          const std::size_t at = pos(rng);
+          state[at] ^= 0x5A;
+          hints->mark(at, at + 1);
+        }
+        break;
+      case 2:  // edit with no hints: compare every chunk
+        mutate(rng, state, 1);
+        hints = std::nullopt;
+        break;
+      case 3: {  // under-marked hints: a change outside the hinted range
+        const std::size_t at = pos(rng);
+        state[at] ^= 0xFF;
+        const std::size_t lo = pos(rng);
+        hints->mark(lo, std::min(state_size, lo + 16));
+        break;
+      }
+      case 4:  // all-dirty hint over an unchanged state
+        hints->mark_all();
+        break;
+      default:  // nothing changed
+        break;
+    }
+    const std::size_t holder = static_cast<std::size_t>(rng() % kHolders);
+    if (rng() % 25 == 0) {
+      encoder.mark_needs_full(holder);
+      reference.mark_needs_full(holder);
+    }
+    const auto got = encoder.emit(holder, state, hints);
+    const auto want = reference.emit(holder, state, hints);
+    EXPECT_EQ(got.kind, want.kind) << "step " << step;
+    EXPECT_EQ(got.baseline_id, want.baseline_id) << "step " << step;
+    EXPECT_EQ(got.delta_seq, want.delta_seq) << "step " << step;
+    EXPECT_EQ(got.chunks_carried, want.chunks_carried) << "step " << step;
+    EXPECT_EQ(got.frame, want.frame) << "step " << step;
+    (got.kind == FrameKind::Full ? fulls : deltas) += 1;
+  }
+  return {fulls, deltas};
+}
+
+TEST(CheckpointEmitRule, SubChunkStateMatchesEncodeThenCompare) {
+  // The paper-workload shape: the whole state fits in one chunk, so only an
+  // unchanged state can ship as a delta.
+  const auto [fulls, deltas] = expect_same_emits(3200, 61);
+  EXPECT_GT(fulls, 0);
+  EXPECT_GT(deltas, 0);
+}
+
+TEST(CheckpointEmitRule, OneChunkStateMatchesEncodeThenCompare) {
+  const auto [fulls, deltas] = expect_same_emits(4096, 62);
+  EXPECT_GT(fulls, 0);
+  EXPECT_GT(deltas, 0);
+}
+
+TEST(CheckpointEmitRule, ManyChunkStateMatchesEncodeThenCompare) {
+  const auto [fulls, deltas] = expect_same_emits(12 * 4096 + 123, 63);
+  EXPECT_GT(fulls, 0);
+  EXPECT_GT(deltas, 0);
+}
+
+TEST(CheckpointEmitRule, DeltaAsLargeAsTheStateGoesOutAsBaseline) {
+  // The rule is strict: a delta ships only if it is SMALLER than the state.
+  // Find state sizes where a delta of the first k chunks lands exactly on,
+  // and one byte under, the state size, and check the encoder's choice.
+  std::mt19937_64 rng(64);
+  bool saw_equal = false;
+  bool saw_smaller = false;
+  for (std::size_t size = 64; size < 4096 && !(saw_equal && saw_smaller);
+       ++size) {
+    const std::size_t chunks = (size + 31) / 32;
+    std::vector<std::uint32_t> first_k;
+    for (std::uint32_t k = 1; k < chunks; ++k) {
+      first_k.push_back(k - 1);
+      const std::size_t delta =
+          checkpoint::delta_frame_size(1, 1, 32, size, first_k);
+      const bool equal = delta == size;
+      if ((!equal && delta + 1 != size) || (equal ? saw_equal : saw_smaller)) {
+        continue;
+      }
+      DeltaEncoder encoder(small_chunks(), 1);
+      Bytes state = random_state(rng, size);
+      ASSERT_EQ(encoder.emit(0, state, std::nullopt).kind, FrameKind::Full);
+      for (std::size_t i = 0; i < k * 32; ++i) state[i] ^= 0xA5;
+      EXPECT_EQ(encoder.emit(0, state, std::nullopt).kind,
+                equal ? FrameKind::Full : FrameKind::Delta)
+          << "state " << size << " bytes, delta of " << k << " chunks";
+      (equal ? saw_equal : saw_smaller) = true;
+    }
+  }
+  EXPECT_TRUE(saw_equal);
+  EXPECT_TRUE(saw_smaller);
 }
 
 // --- Encoder → store round trips ------------------------------------------

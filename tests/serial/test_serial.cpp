@@ -97,6 +97,17 @@ TEST(Serial, BytesRoundTrip) {
   EXPECT_TRUE(r.ok());
 }
 
+TEST(Serial, BytesSliceEncodesLikeACopiedSlice) {
+  const Bytes payload{9, 8, 7, 6, 5, 4, 3};
+  Writer slice;
+  slice.bytes(payload.data() + 2, 4);
+  slice.bytes(payload.data(), 0);
+  Writer copy;
+  copy.bytes(Bytes(payload.begin() + 2, payload.begin() + 6));
+  copy.bytes(Bytes{});
+  EXPECT_EQ(slice.data(), copy.data());
+}
+
 TEST(Serial, F64VectorRoundTrip) {
   std::vector<double> v{1.0, -2.5, 3.14159, 0.0, 1e-300};
   Writer w;
