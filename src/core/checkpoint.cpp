@@ -123,8 +123,13 @@ std::optional<DecodedFrame> decode_frame(const serial::Bytes& frame) {
   if (f.delta_seq == 0) return std::nullopt;
   const std::uint64_t chunk_total =
       (f.total_size + f.chunk_size - 1) / f.chunk_size;
+  // Each chunk takes at least two bytes (index and length varints), so the
+  // count is also capped by the bytes left: a frame claiming a huge state
+  // must not make the reserve below allocate for chunks it cannot carry.
   const std::uint64_t count = r.varint();
-  if (!r.ok() || count > chunk_total) return std::nullopt;
+  if (!r.ok() || count > chunk_total || count > r.remaining() / 2) {
+    return std::nullopt;
+  }
   f.chunks.reserve(static_cast<std::size_t>(count));
   std::uint64_t prev_index = 0;
   for (std::uint64_t i = 0; i < count; ++i) {

@@ -55,29 +55,11 @@ struct CheckpointPolicy {
   double net_bandwidth = 100e6;     ///< modelled transfer rate, bytes/s
   double net_latency = 1e-3;        ///< modelled per-save fixed cost, s
 
-  void serialize(serial::Writer& w) const {
-    w.u32(chunk_size);
-    w.u32(rebase_every);
-    w.u64(chain_byte_budget);
-    w.boolean(adaptive_interval);
-    w.u32(min_interval);
-    w.u32(max_interval);
-    w.f64(target_overhead);
-    w.f64(net_bandwidth);
-    w.f64(net_latency);
-  }
-  static CheckpointPolicy deserialize(serial::Reader& r) {
-    CheckpointPolicy p;
-    p.chunk_size = r.u32();
-    p.rebase_every = r.u32();
-    p.chain_byte_budget = r.u64();
-    p.adaptive_interval = r.boolean();
-    p.min_interval = r.u32();
-    p.max_interval = r.u32();
-    p.target_overhead = r.f64();
-    p.net_bandwidth = r.f64();
-    p.net_latency = r.f64();
-    return p;
+  template <typename S, typename F>
+  static void fields(S& s, F&& f) {
+    f(s.chunk_size, s.rebase_every, s.chain_byte_budget, s.adaptive_interval,
+      s.min_interval, s.max_interval, s.target_overhead, s.net_bandwidth,
+      s.net_latency);
   }
 };
 

@@ -34,6 +34,10 @@ bool unpack_batch(const Message& envelope, std::vector<Message>& out) {
   const serial::Bytes sub = r.bytes();
   if (!r.ok() || !r.exhausted()) return false;
   if (serial::crc32(sub) != crc) return false;
+  // The count sits outside the CRC. Each part takes at least two bytes (type
+  // and length varints), so a larger count is malformed; checking it here
+  // keeps the reserve below from allocating for parts that cannot exist.
+  if (count > sub.size() / 2) return false;
   serial::Reader sr(sub);
   std::vector<Message> parts;
   parts.reserve(static_cast<std::size_t>(count));

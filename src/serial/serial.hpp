@@ -9,8 +9,21 @@
 //   * unsigned varint (LEB128) for lengths and u64 varints;
 //   * doubles as IEEE-754 bit patterns;
 //   * containers as varint length + elements;
-//   * user structs provide `void serialize(Writer&) const` and
-//     `static T deserialize(Reader&)`.
+//   * a wire type declares its fields ONCE, in wire order, in a field list
+//     that serves both directions:
+//
+//       template <typename S, typename F>
+//       static void fields(S& s, F&& f) { f(s.app_id, s.task_id, s.state); }
+//
+//     and write()/read() below derive each field's encoding from its C++
+//     type: bool -> boolean, u8 and one-byte enums -> u8, u32/u64/double ->
+//     u32/u64/f64, std::string -> str, Bytes -> bytes, std::vector<u32> ->
+//     u32_vector, a vector of wire types -> varint count + elements, a nested
+//     wire type -> its own field list;
+//   * a type whose layout is not a fixed field list (application configs
+//     and matrices, which the Task API leaves to the application) instead
+//     provides `void serialize(Writer&) const` and
+//     `static T deserialize(Reader&)`; write()/read() fall back to that pair.
 //
 // Reader never reads out of bounds: all failures surface via ok()/error() and
 // reads after failure return zero values (monadic poisoning), so decoding
@@ -125,18 +138,6 @@ class Writer {
     append_le(v.data(), v.size());
   }
 
-  /// Serialize any struct exposing serialize(Writer&).
-  template <typename T>
-  void object(const T& value) {
-    value.serialize(*this);
-  }
-
-  template <typename T>
-  void object_vector(const std::vector<T>& values) {
-    varint(values.size());
-    for (const auto& v : values) v.serialize(*this);
-  }
-
   /// Pre-size the buffer for an encoding whose length is known up front.
   void reserve(std::size_t n) { buffer_.reserve(n); }
 
@@ -150,6 +151,7 @@ class Writer {
   template <typename T>
   void append_le(const T* values, std::size_t count) {
     static_assert(std::is_trivially_copyable_v<T>);
+    if (count == 0) return;  // memcpy must not see an empty vector's null
     if constexpr (std::endian::native == std::endian::little) {
       const std::size_t old = buffer_.size();
       buffer_.resize(old + count * sizeof(T));
@@ -288,41 +290,31 @@ class Reader {
     return vector_le<std::vector<std::uint64_t>>();
   }
 
-  template <typename T>
-  T object() {
-    return T::deserialize(*this);
-  }
-
-  template <typename T>
-  std::vector<T> object_vector() {
-    std::uint64_t len = varint();
-    // Sanity cap: an element takes at least one byte, so a valid count can
-    // never exceed the remaining payload.
-    if (!ok_ || len > remaining()) {
-      if (ok_) poison("object_vector length exceeds payload");
-      return {};
+  /// Element count of a container whose elements each take at least
+  /// `min_element_bytes`: a varint capped against the remaining payload, so
+  /// an adversarial count poisons the reader instead of driving a huge
+  /// allocation. 0 once poisoned.
+  std::uint64_t count(std::size_t min_element_bytes = 1) {
+    const std::uint64_t len = varint();
+    if (!ok_) return 0;
+    if (len > remaining() / min_element_bytes) {
+      poison("vector length exceeds payload");
+      return 0;
     }
-    std::vector<T> v;
-    v.reserve(len);
-    for (std::uint64_t i = 0; i < len && ok_; ++i) v.push_back(T::deserialize(*this));
-    return v;
+    return len;
   }
 
  private:
-  /// Bulk little-endian vector read shared by f64/u32/u64_vector: clamps the
-  /// claimed element count against the remaining payload (dividing, so the
-  /// byte count `len * sizeof(T)` can never wrap for adversarial lengths),
-  /// then decodes with a single memcpy on little-endian hosts.
+  /// Bulk little-endian vector read shared by f64/u32/u64_vector: count()
+  /// clamps the claimed element count against the remaining payload
+  /// (dividing, so the byte count `len * sizeof(T)` can never wrap for
+  /// adversarial lengths), then a single memcpy decodes on little-endian
+  /// hosts.
   template <typename Vec, typename T = typename Vec::value_type>
   Vec vector_le() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint64_t len = varint();
-    if (!ok_) return {};
-    if (len > remaining() / sizeof(T)) {
-      poison("vector length exceeds payload");
-      return {};
-    }
-    Vec v(static_cast<std::size_t>(len));
+    Vec v(static_cast<std::size_t>(count(sizeof(T))));
+    if (v.empty()) return v;  // memcpy must not see an empty vector's null
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
       pos_ += v.size() * sizeof(T);
@@ -361,20 +353,107 @@ class Reader {
   std::string error_;
 };
 
-/// Encode a serializable object into a fresh byte buffer.
+/// Visitor type used only to detect a field list (see `WireType`).
+struct FieldProbe {
+  template <typename... Fs>
+  void operator()(Fs&...) const {}
+};
+
+/// A type that declares its fields once: `template <typename S, typename F>
+/// static void fields(S& s, F&& f)` calls `f` with every field in wire order.
+template <typename T>
+concept WireType = requires(T& t) { T::fields(t, FieldProbe{}); };
+
+template <typename T>
+struct IsVector : std::false_type {};
+template <typename T>
+struct IsVector<std::vector<T>> : std::true_type {};
+
+/// Encode `value` by the rules in the header comment.
+template <typename T>
+void write(Writer& w, const T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w.boolean(value);
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(sizeof(T) == 1, "enums travel as one byte");
+    w.u8(static_cast<std::uint8_t>(value));
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    w.u8(value);
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w.u32(value);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.u64(value);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.f64(value);
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w.str(value);
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    w.bytes(value);
+  } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+    w.u32_vector(value);
+  } else if constexpr (IsVector<T>::value) {
+    w.varint(value.size());
+    for (const auto& element : value) write(w, element);
+  } else if constexpr (WireType<T>) {
+    T::fields(value, [&w](const auto&... field) { (write(w, field), ...); });
+  } else {  // hand-written member codec
+    value.serialize(w);
+  }
+}
+
+/// Decode into `value`; the inverse of write(). Malformed input poisons `r`.
+template <typename T>
+void read(Reader& r, T& value) {
+  if constexpr (std::is_same_v<T, bool>) {
+    value = r.boolean();
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(sizeof(T) == 1, "enums travel as one byte");
+    value = static_cast<T>(r.u8());
+  } else if constexpr (std::is_same_v<T, std::uint8_t>) {
+    value = r.u8();
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    value = r.u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    value = r.u64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    value = r.f64();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    value = r.str();
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    value = r.bytes();
+  } else if constexpr (std::is_same_v<T, std::vector<std::uint32_t>>) {
+    value = r.u32_vector();
+  } else if constexpr (IsVector<T>::value) {
+    // Every element takes at least one byte, so count() caps the claimed
+    // length against the remaining payload before anything is allocated.
+    const std::uint64_t n = r.count();
+    value.clear();
+    value.reserve(static_cast<std::size_t>(n));
+    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
+      read(r, value.emplace_back());
+    }
+  } else if constexpr (WireType<T>) {
+    T::fields(value, [&r](auto&... field) { (read(r, field), ...); });
+  } else {  // hand-written member codec
+    value = T::deserialize(r);
+  }
+}
+
+/// Encode a wire value into a fresh byte buffer.
 template <typename T>
 Bytes encode(const T& value) {
   Writer writer;
-  value.serialize(writer);
+  write(writer, value);
   return writer.take();
 }
 
-/// Decode a serializable object; aborts on malformed input (internal use:
-/// payloads produced by encode()). For untrusted input use Reader directly.
+/// Decode a wire value; aborts on malformed input (internal use: payloads
+/// produced by encode()). For untrusted input use read() and check the Reader.
 template <typename T>
 T decode(const Bytes& data) {
   Reader reader(data);
-  T value = T::deserialize(reader);
+  T value{};
+  read(reader, value);
   JACEPP_CHECK(reader.ok(), "decode: malformed payload");
   return value;
 }

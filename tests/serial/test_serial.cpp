@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "support/rng.hpp"
 
@@ -233,23 +235,7 @@ TEST(Serial, TruncatedVectorPayloadPoisons) {
   EXPECT_FALSE(r.ok());
 }
 
-TEST(Serial, ObjectVectorLengthSanityCheck) {
-  // A crafted header claiming 2^40 elements must poison, not allocate.
-  Writer w;
-  w.varint(1ULL << 40);
-  struct Dummy {
-    void serialize(Writer& wr) const { wr.u8(0); }
-    static Dummy deserialize(Reader& rd) {
-      (void)rd.u8();
-      return {};
-    }
-  };
-  Reader r(w.data());
-  const auto v = r.object_vector<Dummy>();
-  EXPECT_TRUE(v.empty());
-  EXPECT_FALSE(r.ok());
-}
-
+/// A type with a hand-written member codec (the fallback path).
 struct Point {
   double x = 0;
   double y = 0;
@@ -266,15 +252,78 @@ struct Point {
   bool operator==(const Point&) const = default;
 };
 
-TEST(Serial, ObjectAndObjectVectorRoundTrip) {
-  std::vector<Point> pts{{1, 2}, {-3, 4.5}, {0, 0}};
+enum class Colour : std::uint8_t { Red = 1, Blue = 7 };
+
+/// A wire type declared by field list, one field per encoding rule.
+struct Shape {
+  bool closed = false;
+  Colour colour = Colour::Red;
+  std::uint8_t layer = 0;
+  std::uint32_t id = 0;
+  std::uint64_t stamp = 0;
+  double area = 0;
+  std::string label;
+  Bytes blob;
+  std::vector<std::uint32_t> tags;
+  Point origin;
+  std::vector<Point> path;
+
+  template <typename S, typename F>
+  static void fields(S& s, F&& f) {
+    f(s.closed, s.colour, s.layer, s.id, s.stamp, s.area, s.label, s.blob,
+      s.tags, s.origin, s.path);
+  }
+  bool operator==(const Shape&) const = default;
+};
+
+TEST(Serial, FieldListEncodesEachFieldByItsType) {
+  const Shape shape{
+      true, Colour::Blue, 9, 0xdeadbeef, 1ULL << 40, 2.5, "tri", {4, 5},
+      {6, 7, 8}, {1, 2}, {{3, 4}, {-5, 6.5}}};
+  Writer manual;
+  manual.boolean(true);
+  manual.u8(7);
+  manual.u8(9);
+  manual.u32(0xdeadbeef);
+  manual.u64(1ULL << 40);
+  manual.f64(2.5);
+  manual.str("tri");
+  manual.bytes(Bytes{4, 5});
+  manual.u32_vector({6, 7, 8});
+  manual.f64(1);
+  manual.f64(2);
+  manual.varint(2);
+  for (const double v : {3.0, 4.0, -5.0, 6.5}) manual.f64(v);
+
+  EXPECT_EQ(encode(shape), manual.data());
+  EXPECT_EQ(decode<Shape>(manual.data()), shape);
+}
+
+TEST(Serial, ObjectVectorLengthSanityCheck) {
+  // A crafted header claiming 2^40 elements must poison, not allocate.
   Writer w;
-  w.object(pts[0]);
-  w.object_vector(pts);
+  w.varint(1ULL << 40);
   Reader r(w.data());
-  EXPECT_EQ(r.object<Point>(), pts[0]);
-  EXPECT_EQ(r.object_vector<Point>(), pts);
+  std::vector<Point> v;
+  read(r, v);
+  EXPECT_TRUE(v.empty());
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(Serial, ObjectAndObjectVectorRoundTrip) {
+  const std::vector<Point> pts{{1, 2}, {-3, 4.5}, {0, 0}};
+  Writer w;
+  write(w, pts[0]);
+  write(w, pts);
+  Reader r(w.data());
+  Point first;
+  std::vector<Point> all;
+  read(r, first);
+  read(r, all);
+  EXPECT_EQ(first, pts[0]);
+  EXPECT_EQ(all, pts);
   EXPECT_TRUE(r.ok());
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(Serial, EncodeDecodeHelpers) {
