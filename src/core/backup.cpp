@@ -24,16 +24,18 @@ BackupStore::StoreResult BackupStore::store_frame(AppId app, TaskId task,
       // trigger the rebase properly if the chains truly diverged.
       return {true, false};
     }
-    if (it != entries_.end()) erase_entry(it);
-    Entry entry;
+    // A new baseline replaces the chain in place: the map node is reused.
+    Entry& entry =
+        it != entries_.end() ? it->second : entries_[key(app, task)];
+    total_bytes_ -= entry.bytes();
     entry.iteration = iteration;
     entry.baseline_id = decoded->baseline_id;
     entry.last_delta_seq = 0;
     entry.chunk_size = decoded->chunk_size;
     entry.state_checksum = decoded->state_checksum;
     entry.baseline = std::move(decoded->full_state);
+    entry.deltas.clear();
     total_bytes_ += entry.bytes();
-    entries_.emplace(key(app, task), std::move(entry));
     result = {true, false};
   } else {
     if (it == entries_.end() ||

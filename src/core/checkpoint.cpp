@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "serial/buffer_pool.hpp"
 #include "serial/checksum.hpp"
 #include "support/assert.hpp"
 
@@ -43,7 +44,7 @@ serial::Bytes encode_full_frame(std::uint64_t baseline_id,
                                 std::uint32_t chunk_size,
                                 const serial::Bytes& state) {
   JACEPP_ASSERT(chunk_size > 0);
-  serial::Writer w;
+  serial::Writer w(serial::BufferPool::instance().acquire());
   w.reserve(header_size(baseline_id, 0, chunk_size, state.size()) +
             serial::varint_size(state.size()) + state.size() + 4);
   write_header(w, FrameKind::Full, baseline_id, /*delta_seq=*/0, chunk_size,
@@ -73,7 +74,7 @@ serial::Bytes encode_delta_frame(
     std::uint32_t chunk_size, const serial::Bytes& state,
     const std::vector<std::uint32_t>& chunk_indices) {
   JACEPP_ASSERT(chunk_size > 0 && delta_seq > 0);
-  serial::Writer w;
+  serial::Writer w(serial::BufferPool::instance().acquire());
   w.reserve(delta_frame_size(baseline_id, delta_seq, chunk_size, state.size(),
                              chunk_indices));
   write_header(w, FrameKind::Delta, baseline_id, delta_seq, chunk_size, state);

@@ -5,6 +5,7 @@
 
 #include "core/periodic.hpp"
 #include "core/shard.hpp"
+#include "serial/buffer_pool.hpp"
 #include "support/logging.hpp"
 
 namespace jacepp::core {
@@ -488,6 +489,8 @@ void Daemon::finish_iteration() {
     data.iteration = iteration_;
     data.payload = std::move(out.payload);
     rmi::invoke(*env_, to, data);
+    // The message carries its own encoded copy; the line's buffer is reused.
+    serial::BufferPool::instance().release(std::move(data.payload));
   }
 
   // Local convergence detection (§5.5): report 1/0 transitions only. The
@@ -540,9 +543,10 @@ void Daemon::do_checkpoint() {
   const net::Stub holder = reg_.daemon_of(target);
   if (!holder.valid() || holder == env_->self()) return;
 
-  const serial::Bytes state = task_->checkpoint();
+  serial::Bytes state = task_->checkpoint();
   auto emitted =
       encoder_->emit(target_index, state, task_->take_dirty_ranges());
+  serial::BufferPool::instance().release(std::move(state));
   const std::size_t frame_bytes = emitted.frame.size();
   if (emitted.kind == checkpoint::FrameKind::Full) {
     ++ckpt_fulls_;
@@ -558,6 +562,7 @@ void Daemon::do_checkpoint() {
   save.iteration = iteration_;
   save.state = std::move(emitted.frame);
   rmi::invoke(*env_, holder, save);
+  serial::BufferPool::instance().release(std::move(save.state));
 
   // Adaptive interval: size k so the modelled serialize+send cost stays near
   // `target_overhead` of the per-iteration cost — wide k while checkpoints

@@ -10,6 +10,12 @@ namespace jacepp::linalg {
 
 CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                             const CgOptions& options) {
+  CgWorkspace workspace;
+  return conjugate_gradient(a, b, x, options, workspace);
+}
+
+CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
+                            const CgOptions& options, CgWorkspace& workspace) {
   const std::size_t n = b.size();
   JACEPP_ASSERT(a.rows() == n && a.cols() == n);
   if (x.size() != n) x.assign(n, 0.0);
@@ -27,7 +33,14 @@ CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
     }
   }
 
-  Vector r(n), z(n), p(n), ap(n);
+  Vector& r = workspace.r;
+  Vector& z = workspace.z;
+  Vector& p = workspace.p;
+  Vector& ap = workspace.ap;
+  r.resize(n);
+  z.resize(n);
+  p.resize(n);
+  ap.resize(n);
   double r_norm;
   if (options.fused) {
     // The SELL twin (when provided) covers exactly the SpMV-shaped fused

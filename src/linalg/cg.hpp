@@ -41,9 +41,21 @@ struct CgResult {
   double flops = 0.0;
 };
 
+/// Scratch vectors of a CG solve. A caller that solves again and again (the
+/// Poisson task, once per outer iteration) keeps one and passes it in, so a
+/// solve after the first allocates nothing. Every vector is fully written
+/// before it is read, so reuse cannot change a result.
+struct CgWorkspace {
+  Vector r, z, p, ap;
+};
+
 /// Solve A x = b for symmetric positive definite A, starting from the given x
 /// (warm start). x is updated in place.
 CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
                             const CgOptions& options = {});
+
+/// The same solve with caller-owned scratch vectors.
+CgResult conjugate_gradient(const CsrMatrix& a, const Vector& b, Vector& x,
+                            const CgOptions& options, CgWorkspace& workspace);
 
 }  // namespace jacepp::linalg

@@ -126,14 +126,36 @@ void CsrMatrix::serialize(serial::Writer& w) const {
 }
 
 CsrMatrix CsrMatrix::deserialize(serial::Reader& r) {
-  const std::size_t rows = r.varint();
-  const std::size_t cols = r.varint();
+  const std::uint64_t rows = r.varint();
+  const std::uint64_t cols = r.varint();
   auto row_ptr = r.u32_vector();
   auto col_idx = r.u32_vector();
   auto values = r.f64_vector();
   if (!r.ok()) return {};
-  return CsrMatrix(rows, cols, std::move(row_ptr), std::move(col_idx),
-                   std::move(values));
+  // The matrix arrives from the wire (AppDescriptor::config): a structure the
+  // constructor would reject, or a column index outside the matrix, poisons
+  // the reader instead of aborting. A default-constructed matrix encodes
+  // with no row pointers at all.
+  if (rows == 0 && cols == 0 && row_ptr.empty() && col_idx.empty() &&
+      values.empty()) {
+    return {};
+  }
+  bool valid = !row_ptr.empty() && row_ptr.size() - 1 == rows &&
+               row_ptr.front() == 0 && row_ptr.back() == values.size() &&
+               col_idx.size() == values.size();
+  for (std::size_t i = 0; valid && i + 1 < row_ptr.size(); ++i) {
+    valid = row_ptr[i] <= row_ptr[i + 1];
+  }
+  for (std::size_t k = 0; valid && k < col_idx.size(); ++k) {
+    valid = col_idx[k] < cols;
+  }
+  if (!valid) {
+    r.fail("malformed CSR matrix");
+    return {};
+  }
+  return CsrMatrix(static_cast<std::size_t>(rows),
+                   static_cast<std::size_t>(cols), std::move(row_ptr),
+                   std::move(col_idx), std::move(values));
 }
 
 void CsrBuilder::add(std::size_t r, std::size_t c, double v) {

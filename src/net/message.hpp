@@ -47,19 +47,27 @@ class Payload {
   /// global serial::BufferPool when the LAST reference drops. Copies still
   /// share the one buffer (shares_buffer_with holds as usual); recycling
   /// happens strictly after the refcount reaches zero, so no live reader can
-  /// ever observe a recycled buffer.
+  /// ever observe a recycled buffer. The holder and the control block share
+  /// one allocation (make_shared), and an aliasing pointer exposes the bytes.
   [[nodiscard]] static Payload pooled(serial::Bytes bytes) {
+    auto holder = std::make_shared<PooledBytes>(std::move(bytes));
+    const serial::Bytes* view = &holder->bytes;
     Payload p;
-    p.data_ = std::shared_ptr<const serial::Bytes>(
-        new serial::Bytes(std::move(bytes)), [](const serial::Bytes* b) {
-          auto* owned = const_cast<serial::Bytes*>(b);
-          serial::BufferPool::instance().release(std::move(*owned));
-          delete owned;
-        });
+    p.data_ = std::shared_ptr<const serial::Bytes>(std::move(holder), view);
     return p;
   }
 
  private:
+  /// Owner of a pooled buffer: its destructor, run when the last Payload
+  /// copy drops, returns the storage to the pool.
+  struct PooledBytes {
+    explicit PooledBytes(serial::Bytes b) : bytes(std::move(b)) {}
+    ~PooledBytes() { serial::BufferPool::instance().release(std::move(bytes)); }
+    PooledBytes(const PooledBytes&) = delete;
+    PooledBytes& operator=(const PooledBytes&) = delete;
+    serial::Bytes bytes;
+  };
+
   std::shared_ptr<const serial::Bytes> data_;
 };
 
@@ -77,7 +85,7 @@ struct Message {
 /// `static constexpr MessageType kType` and a wire encoding (serial.hpp).
 /// The body is encoded into a pool-recycled buffer and returns to the pool
 /// when the message's last copy dies — the per-message steady-state send path
-/// performs no body allocation (beyond the shared_ptr control block).
+/// performs one allocation, the shared holder of the body.
 template <typename T>
 Message make_message(const T& payload) {
   Message m;

@@ -5,6 +5,7 @@
 
 #include "linalg/fused.hpp"
 #include "poisson/poisson.hpp"
+#include "serial/buffer_pool.hpp"
 #include "support/assert.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
@@ -129,8 +130,7 @@ double PoissonTask::iterate() {
     return last_solve_flops_;
   }
 
-  linalg::Vector rhs;
-  build_rhs(rhs);
+  build_rhs(rhs_);
 
   // Early halo publish (perf.early_send): pre-relax the two outgoing boundary
   // lines with one fused weighted-Jacobi sweep against the FRESH rhs and ship
@@ -139,14 +139,15 @@ double PoissonTask::iterate() {
   // through outgoing() after the solve (previews never mark anything as sent).
   double preview_flops = 0.0;
   if (early_publish_enabled() && task_count_ > 1) {
-    preview_flops = publish_boundary_preview(rhs);
+    preview_flops = publish_boundary_preview(rhs_);
   }
 
   linalg::CgOptions options;
   options.tolerance = config_.inner_tolerance;
   options.max_iterations = config_.inner_max_iterations;
   if (sell_) options.sell = &*sell_;
-  const auto cg = linalg::conjugate_gradient(a_local_, rhs, x_ext_, options);
+  const auto cg =
+      linalg::conjugate_gradient(a_local_, rhs_, x_ext_, options, cg_workspace_);
   last_solve_converged_ = cg.converged;
   sent_since_last_solve_ = false;
   ckpt_solve_dirty_ = true;
@@ -219,9 +220,7 @@ double PoissonTask::publish_boundary_preview(const linalg::Vector& rhs) {
     flops += 2.0 * static_cast<double>(row_ptr[lo + n] - row_ptr[lo]) +
              4.0 * static_cast<double>(n);
     serial::Writer writer;
-    linalg::Vector line(early_x_.begin() + static_cast<std::ptrdiff_t>(lo),
-                        early_x_.begin() + static_cast<std::ptrdiff_t>(lo + n));
-    writer.f64_vector(line);
+    writer.f64_vector(early_x_.data() + lo, n);
     return writer.take();
   };
 
@@ -253,17 +252,19 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
   last_send_iteration_ = iterations_done_;
 
   std::vector<core::OutgoingData> out;
+  out.reserve(2);
   const std::size_t n = config_.n;
   const std::size_t overlap_rows = config_.overlap_lines * n;
 
+  // Each line is written straight from x_ext_ into a recycled buffer; the
+  // daemon hands the buffer back to the pool once the message is encoded.
   auto extract_line = [&](std::size_t global_start) {
     JACEPP_ASSERT(global_start >= block_.owned_lo &&
                   global_start + n <= block_.owned_hi);
     const std::size_t local = global_start - block_.ext_lo;
-    serial::Writer writer;
-    linalg::Vector line(x_ext_.begin() + static_cast<std::ptrdiff_t>(local),
-                        x_ext_.begin() + static_cast<std::ptrdiff_t>(local + n));
-    writer.f64_vector(line);
+    serial::Writer writer(serial::BufferPool::instance().acquire());
+    writer.reserve(serial::varint_size(n) + sizeof(double) * n);
+    writer.f64_vector(x_ext_.data() + local, n);
     return writer.take();
   };
 
@@ -288,7 +289,8 @@ std::vector<core::OutgoingData> PoissonTask::outgoing() {
 void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
                           const serial::Bytes& payload) {
   serial::Reader reader(payload);
-  linalg::Vector line = reader.f64_vector<linalg::Vector>();
+  linalg::Vector& line = incoming_;
+  reader.f64_vector_into(line);
   if (!reader.ok() || line.size() != config_.n) return;  // malformed: drop
   // Last-received-wins: after a neighbour restarts from a checkpoint its
   // iteration counter regresses, yet its data is the freshest available, so
@@ -303,20 +305,30 @@ void PoissonTask::on_data(core::TaskId from_task, std::uint64_t iteration,
       lower_fresh_ = true;
       ckpt_lower_dirty_ = true;
     }
-    lower_boundary_ = std::move(line);
+    lower_boundary_.swap(line);
     lower_tag_ = iteration;
   } else if (from_task == task_id_ + 1) {
     if (line != upper_boundary_) {
       upper_fresh_ = true;
       ckpt_upper_dirty_ = true;
     }
-    upper_boundary_ = std::move(line);
+    upper_boundary_.swap(line);
     upper_tag_ = iteration;
   }
 }
 
+std::size_t PoissonTask::checkpoint_size() const {
+  std::size_t size = 4 * sizeof(std::uint64_t);
+  for (const linalg::Vector* v :
+       {&x_ext_, &owned_prev_, &lower_boundary_, &upper_boundary_}) {
+    size += serial::varint_size(v->size()) + sizeof(double) * v->size();
+  }
+  return size;
+}
+
 serial::Bytes PoissonTask::checkpoint() const {
-  serial::Writer writer;
+  serial::Writer writer(serial::BufferPool::instance().acquire());
+  writer.reserve(checkpoint_size());
   writer.f64_vector(x_ext_);
   writer.f64_vector(owned_prev_);
   writer.f64_vector(lower_boundary_);
@@ -362,6 +374,7 @@ std::optional<core::checkpoint::DirtyRanges> PoissonTask::take_dirty_ranges() {
   const std::size_t total = upper_end + 4 * sizeof(std::uint64_t);
 
   core::checkpoint::DirtyRanges d;
+  d.ranges.reserve(4);
   if (ckpt_solve_dirty_) d.mark(0, prev_end);
   if (ckpt_lower_dirty_) d.mark(prev_end, lower_end);
   if (ckpt_upper_dirty_) d.mark(lower_end, upper_end);

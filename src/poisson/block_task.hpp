@@ -105,6 +105,10 @@ class PoissonTask : public core::Task {
  private:
   void build_rhs(linalg::Vector& rhs) const;
 
+  /// Byte size of checkpoint()'s encoding; fixed once init() has sized the
+  /// vectors.
+  [[nodiscard]] std::size_t checkpoint_size() const;
+
   /// Early halo publish: one fused damped-Jacobi sweep over each outgoing
   /// boundary line's rows (against the given fresh rhs), shipped through
   /// publish_early(). Returns the flops spent on the previews.
@@ -126,6 +130,12 @@ class PoissonTask : public core::Task {
   linalg::Vector owned_prev_;
   linalg::Vector inv_diag_;  ///< 1 / diag(a_local_), for preview sweeps
   linalg::Vector early_x_;   ///< scratch output of preview sweeps
+
+  // Per-iteration scratch, kept across iterations so that a steady-state
+  // iterate() and on_data() allocate nothing (DESIGN.md §9).
+  linalg::Vector rhs_;
+  linalg::CgWorkspace cg_workspace_;
+  linalg::Vector incoming_;  ///< decode buffer of on_data()
 
   // Latest boundary lines received (last-received-wins; see DESIGN.md).
   linalg::Vector lower_boundary_;  ///< grid line just below ext_lo

@@ -5,13 +5,18 @@
 // reconstructed state (detects a broken baseline+delta chain even when every
 // individual frame is intact). The net/link Batch envelope carries one too.
 //
-// Slicing-by-8: eight 256-entry tables let the loop fold eight input bytes
-// per step with eight independent table loads, instead of one byte per step
-// where every load waits on the previous one. Same polynomial, init and final
-// XOR as the bytewise loop, so the output is identical for every input.
+// Two implementations, one answer (DESIGN.md §7):
+//   * PCLMULQDQ folding: carry-less multiplies fold four 16-byte lanes per
+//     64-byte step, then a Barrett reduction takes the 128-bit remainder to
+//     32 bits. Chosen once, by CPUID, when the CPU has PCLMULQDQ and SSE4.1.
+//   * Slicing-by-8, the portable path: eight 256-entry tables fold eight
+//     input bytes per step with independent table loads. It also finishes
+//     the tail the folding leaves (inputs under 64 bytes, the last 0-15
+//     bytes otherwise).
+// Same polynomial, init and final XOR as the bytewise loop, so every input
+// gives the same value on either path.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -19,61 +24,16 @@
 
 namespace jacepp::serial {
 
-namespace detail {
-
-using Crc32Tables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-/// tables[0] is the classic bytewise table; tables[k][i] is the CRC state
-/// after byte i followed by k zero bytes.
-constexpr Crc32Tables make_crc32_tables() {
-  Crc32Tables t{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    t[0][i] = c;
-  }
-  for (std::size_t k = 1; k < 8; ++k) {
-    for (std::size_t i = 0; i < 256; ++i) {
-      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
-    }
-  }
-  return t;
-}
-
-inline constexpr Crc32Tables kCrc32Tables = make_crc32_tables();
-
-/// Little-endian 32-bit load from any alignment; compilers fold it to one
-/// load on little-endian hosts.
-inline std::uint32_t load_le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-}  // namespace detail
-
 /// CRC-32 of `size` bytes at `data` (init/final XOR 0xFFFFFFFF, reflected).
-inline std::uint32_t crc32(const std::uint8_t* data, std::size_t size) {
-  const auto& t = detail::kCrc32Tables;
-  std::uint32_t c = 0xFFFFFFFFu;
-  for (; size >= 8; data += 8, size -= 8) {
-    const std::uint32_t lo = c ^ detail::load_le32(data);
-    const std::uint32_t hi = detail::load_le32(data + 4);
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
-        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
-        t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-  }
-  for (; size > 0; ++data, --size) {
-    c = t[0][(c ^ *data) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
+std::uint32_t crc32(const std::uint8_t* data, std::size_t size);
 
 inline std::uint32_t crc32(const Bytes& data) {
   return crc32(data.data(), data.size());
 }
+
+/// The slicing-by-8 path alone, whatever the CPU. crc32() returns the same
+/// value; tests call this so the portable path stays covered on hosts where
+/// crc32() folds with PCLMULQDQ.
+std::uint32_t crc32_portable(const std::uint8_t* data, std::size_t size);
 
 }  // namespace jacepp::serial

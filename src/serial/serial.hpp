@@ -128,6 +128,13 @@ class Writer {
     append_le(v.begin(), v.size());
   }
 
+  /// Same encoding for a span of a larger vector, so a slice is written
+  /// without copying it into a temporary first.
+  void f64_vector(const double* data, std::size_t count) {
+    varint(count);
+    append_le(data, count);
+  }
+
   void u32_vector(const std::vector<std::uint32_t>& v) {
     varint(v.size());
     append_le(v.data(), v.size());
@@ -182,7 +189,9 @@ class Reader {
   [[nodiscard]] bool ok() const { return ok_; }
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool exhausted() const { return pos_ == size_; }
-  [[nodiscard]] const std::string& error() const { return error_; }
+  /// Why the reader was poisoned ("" while ok()). A static string, so a
+  /// failing decode allocates nothing.
+  [[nodiscard]] const char* error() const { return error_; }
 
   std::uint8_t u8() {
     if (!require(1)) return 0;
@@ -282,12 +291,29 @@ class Reader {
     return vector_le<Vec>();
   }
 
+  /// Decode a double vector into `out`, reusing its storage: nothing is
+  /// allocated when out.capacity() covers the count. The count is capped
+  /// like f64_vector()'s before `out` is resized, so an inflated count
+  /// poisons the reader and leaves `out` empty without allocating.
+  template <typename Vec>
+  void f64_vector_into(Vec& out) {
+    static_assert(std::is_same_v<typename Vec::value_type, double>);
+    vector_le_into(out);
+  }
+
   std::vector<std::uint32_t> u32_vector() {
     return vector_le<std::vector<std::uint32_t>>();
   }
 
   std::vector<std::uint64_t> u64_vector() {
     return vector_le<std::vector<std::uint64_t>>();
+  }
+
+  /// Mark the input malformed from a hand-written codec's own validation
+  /// (a structure the bytes alone cannot rule out); poisons like any other
+  /// decoding failure.
+  void fail(const char* why) {
+    if (ok_) poison(why);
   }
 
   /// Element count of a container whose elements each take at least
@@ -310,11 +336,18 @@ class Reader {
   /// (dividing, so the byte count `len * sizeof(T)` can never wrap for
   /// adversarial lengths), then a single memcpy decodes on little-endian
   /// hosts.
-  template <typename Vec, typename T = typename Vec::value_type>
+  template <typename Vec>
   Vec vector_le() {
+    Vec v;
+    vector_le_into(v);
+    return v;
+  }
+
+  template <typename Vec, typename T = typename Vec::value_type>
+  void vector_le_into(Vec& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Vec v(static_cast<std::size_t>(count(sizeof(T))));
-    if (v.empty()) return v;  // memcpy must not see an empty vector's null
+    v.resize(static_cast<std::size_t>(count(sizeof(T))));
+    if (v.empty()) return;  // memcpy must not see an empty vector's null
     if constexpr (std::endian::native == std::endian::little) {
       std::memcpy(v.data(), data_ + pos_, v.size() * sizeof(T));
       pos_ += v.size() * sizeof(T);
@@ -329,7 +362,6 @@ class Reader {
         }
       }
     }
-    return v;
   }
 
   bool require(std::uint64_t n) {
@@ -350,7 +382,7 @@ class Reader {
   std::size_t size_;
   std::size_t pos_ = 0;
   bool ok_ = true;
-  std::string error_;
+  const char* error_ = "";
 };
 
 /// Visitor type used only to detect a field list (see `WireType`).

@@ -26,20 +26,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                              const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (end <= begin) return;
-  if (grain == 0) grain = 1;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = (n + grain - 1) / grain;
-  if (threads_ <= 1 || chunks <= 1) {
-    fn(begin, end);
-    return;
-  }
-  run_chunked(begin, end, grain, chunks,
-              [&fn](std::size_t, std::size_t lo, std::size_t hi) { fn(lo, hi); });
-}
-
 void ThreadPool::run_chunked(
     std::size_t begin, std::size_t end, std::size_t grain, std::size_t chunks,
     std::function<void(std::size_t, std::size_t, std::size_t)> body) {

@@ -61,8 +61,23 @@ class ThreadPool {
   /// Invoke fn(lo, hi) over disjoint sub-ranges covering [begin, end), each at
   /// most `grain` long. Blocks until the whole range is done. Exceptions
   /// thrown by fn are rethrown (first one wins) after the range completes.
+  /// A template, like parallel_reduce: the single-chunk path calls fn
+  /// directly, so a kernel's closure is never copied into a heap-allocated
+  /// std::function.
+  template <typename Fn>
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
+                    Fn&& fn) {
+    if (end <= begin) return;
+    if (grain == 0) grain = 1;
+    const std::size_t n = end - begin;
+    const std::size_t chunks = (n + grain - 1) / grain;
+    if (threads_ <= 1 || chunks <= 1) {
+      fn(begin, end);
+      return;
+    }
+    run_chunked(begin, end, grain, chunks,
+                [&fn](std::size_t, std::size_t lo, std::size_t hi) { fn(lo, hi); });
+  }
 
   /// Chunked reduction: `chunk(lo, hi)` produces a partial T per sub-range,
   /// and partials are folded left-to-right in chunk order with

@@ -1,5 +1,7 @@
 // Seeded mutation fuzzing over every decoder reachable from the wire: each
-// protocol message and nested wire type through serial::read, checkpoint
+// protocol message and nested wire type through serial::read, the
+// application configs that travel inside AppDescriptor::config (PoissonConfig,
+// GenericConfig, CsrMatrix) through their hand-written codecs, checkpoint
 // frames through checkpoint::decode_frame, Batch envelopes through
 // net::unpack_batch, and the serial::Reader primitives themselves. gcc ships
 // no libFuzzer, so the mutator lives here: truncation at every prefix,
@@ -11,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <cstdint>
 #include <iterator>
 #include <limits>
@@ -18,7 +21,10 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "core/generic_task.hpp"
+#include "linalg/csr.hpp"
 #include "net/link.hpp"
+#include "poisson/block_task.hpp"
 #include "serial/checksum.hpp"
 #include "serial/serial.hpp"
 #include "support/rng.hpp"
@@ -96,12 +102,77 @@ std::vector<Bytes> catalogue_encodings(::testing::Types<Ts...>) {
   return {serial::encode(Sample<Ts>::make())...};
 }
 
+// The application config codecs: not protocol wire types, but decoded by
+// every daemon from the AppDescriptor a spawner sends.
+
+}  // namespace
+
+// Samples of the config codecs, beside the catalogue's (wire_samples.hpp).
+inline linalg::CsrMatrix sample_matrix() {
+  linalg::CsrBuilder builder(3, 3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    builder.add(i, i, 4.0);
+    if (i > 0) builder.add(i, i - 1, -1.0);
+    if (i + 1 < 3) builder.add(i, i + 1, -1.0);
+  }
+  return builder.build();
+}
+
+template <>
+struct Sample<poisson::PoissonConfig> {
+  static constexpr const char* kName = "PoissonConfig";
+  static poisson::PoissonConfig make() {
+    poisson::PoissonConfig c;
+    c.n = 96;
+    c.overlap_lines = 1;
+    c.inner_tolerance = 1e-6;
+    c.inner_max_iterations = 400;
+    c.rhs_kind = 1;
+    c.rhs_seed = 0x5eed;
+    c.work_scale = 2.5;
+    return c;
+  }
+};
+
+template <>
+struct Sample<GenericConfig> {
+  static constexpr const char* kName = "GenericConfig";
+  static GenericConfig make() {
+    GenericConfig c;
+    c.a = sample_matrix();
+    c.b = {1.0, -2.0, 0.5};
+    c.inner_tolerance = 1e-9;
+    c.inner_max_iterations = 50;
+    c.work_scale = 3.0;
+    return c;
+  }
+};
+
+template <>
+struct Sample<linalg::CsrMatrix> {
+  static constexpr const char* kName = "CsrMatrix";
+  static linalg::CsrMatrix make() { return sample_matrix(); }
+};
+
+namespace {
+
+using AppConfigTypes =
+    ::testing::Types<poisson::PoissonConfig, GenericConfig, linalg::CsrMatrix>;
+
+template <typename A, typename B>
+struct ConcatTypes;
+template <typename... As, typename... Bs>
+struct ConcatTypes<::testing::Types<As...>, ::testing::Types<Bs...>> {
+  using type = ::testing::Types<As..., Bs...>;
+};
+
 template <typename T>
 class WireDecoderFuzz : public ::testing::Test {
  protected:
   const Bytes encoding_ = serial::encode(Sample<T>::make());
 };
-TYPED_TEST_SUITE(WireDecoderFuzz, WireTypes, TypeNames);
+using FuzzedTypes = ConcatTypes<WireTypes, AppConfigTypes>::type;
+TYPED_TEST_SUITE(WireDecoderFuzz, FuzzedTypes, TypeNames);
 
 TYPED_TEST(WireDecoderFuzz, EveryStrictPrefixPoisons) {
   ASSERT_TRUE(read_all<TypeParam>(this->encoding_).has_value());
@@ -151,6 +222,43 @@ TEST(WireDecoderFuzzVectors, InflatedStubCountPoisons) {
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(m.peers.empty());
   }
+}
+
+TEST(WireDecoderFuzzVectors, MalformedCsrStructurePoisons) {
+  // Well-formed vectors whose structure the matrix constructor would reject
+  // (it aborts): the decoder must poison the reader instead.
+  const auto encode_raw = [](std::uint64_t rows, std::uint64_t cols,
+                             const std::vector<std::uint32_t>& row_ptr,
+                             const std::vector<std::uint32_t>& col_idx,
+                             std::initializer_list<double> values) {
+    serial::Writer w;
+    w.varint(rows);
+    w.varint(cols);
+    w.u32_vector(row_ptr);
+    w.u32_vector(col_idx);
+    w.f64_vector(values);
+    return w.take();
+  };
+  const std::vector<Bytes> malformed = {
+      encode_raw(2, 2, {0, 1}, {0}, {1.0}),              // too few row pointers
+      encode_raw(1, 1, {0, 2}, {0}, {1.0}),              // last pointer != nnz
+      encode_raw(1, 1, {1, 1}, {0}, {1.0}),              // first pointer != 0
+      encode_raw(2, 2, {0, 2, 1}, {0}, {1.0}),           // pointers decrease
+      encode_raw(1, 1, {0, 1}, {0, 0}, {1.0}),           // col_idx/values differ
+      encode_raw(1, 1, {0, 1}, {5}, {1.0}),              // column out of range
+      encode_raw(~0ULL, 1, {}, {}, {}),                  // rows + 1 wraps to 0
+  };
+  for (const Bytes& bytes : malformed) {
+    serial::Reader r(bytes);
+    linalg::CsrMatrix m;
+    serial::read(r, m);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(m.rows(), 0u);
+  }
+  // The default matrix round-trips.
+  const auto empty = read_all<linalg::CsrMatrix>(serial::encode(linalg::CsrMatrix{}));
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->rows(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -450,6 +558,67 @@ TEST(ReaderFuzz, RandomReadSequencesStayInBoundsAndPoisonForGood) {
       }
       poisoned = !r.ok();
     }
+  }
+}
+
+TEST(ReaderFuzz, ReusedBufferDecodeOfInflatedCountPoisonsWithoutAllocating) {
+  serial::Writer w;
+  w.f64_vector({1.0, -2.0, 3.0});
+  for (const std::uint64_t value : kInflated) {
+    const Bytes inflated = inflate(w.data(), 0, value);
+    // An empty buffer gets no storage...
+    linalg::Vector fresh;
+    serial::Reader r(inflated);
+    r.f64_vector_into(fresh);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(fresh.empty());
+    EXPECT_EQ(fresh.capacity(), 0u);
+    // ...and a warm one keeps the storage it had.
+    linalg::Vector warm(3, 7.0);
+    const double* storage = warm.data();
+    const std::size_t capacity = warm.capacity();
+    serial::Reader r2(inflated);
+    r2.f64_vector_into(warm);
+    EXPECT_FALSE(r2.ok());
+    EXPECT_TRUE(warm.empty());
+    EXPECT_EQ(warm.data(), storage);
+    EXPECT_EQ(warm.capacity(), capacity);
+  }
+}
+
+TEST(ReaderFuzz, ReusedBufferDecodeMatchesTheFreshDecode) {
+  // Every prefix, bit flip and inflation of a line: decoding into one reused
+  // buffer gives the fresh decode's verdict and values, and never grows the
+  // buffer past what the input can carry.
+  serial::Writer w;
+  w.f64_vector({0.5, -1.5, 2.0, 1e300, -0.0});
+  const Bytes line = w.take();
+  std::vector<Bytes> inputs;
+  for (std::size_t len = 0; len <= line.size(); ++len) {
+    inputs.push_back(prefix(line, len));
+  }
+  for (std::size_t bit = 0; bit < line.size() * 8; ++bit) {
+    inputs.push_back(flip_bit(line, bit));
+  }
+  for (std::size_t at = 0; at < line.size(); ++at) {
+    for (const std::uint64_t value : kInflated) {
+      inputs.push_back(inflate(line, at, value));
+    }
+  }
+  linalg::Vector reused;
+  for (const Bytes& input : inputs) {
+    const std::size_t before = reused.capacity();
+    serial::Reader fresh_reader(input);
+    const linalg::Vector fresh = fresh_reader.f64_vector<linalg::Vector>();
+    serial::Reader r(input);
+    r.f64_vector_into(reused);
+    ASSERT_EQ(r.ok(), fresh_reader.ok());
+    ASSERT_EQ(r.remaining(), fresh_reader.remaining());
+    EXPECT_TRUE(std::equal(reused.begin(), reused.end(), fresh.begin(),
+                           fresh.end(), [](double a, double b) {
+                             return std::memcmp(&a, &b, sizeof a) == 0;
+                           }));
+    EXPECT_LE(reused.capacity(), std::max(before, input.size()));
   }
 }
 
