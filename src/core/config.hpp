@@ -3,10 +3,10 @@
 // detection fast relative to iteration times); the threaded runtime uses the
 // same knobs with smaller values in tests.
 //
-// Simulator-only scale knobs — `shards` / `worker_threads`, env fallback
-// JACEPP_SIM_SHARDS — live in sim::SimConfig (sim/world.hpp; DESIGN.md §12)
-// and reach experiments through SimDeploymentConfig::sim. They are listed
-// here because this header is the knob index for deployments.
+// Simulator-only scale knobs — `shards` / `worker_threads` — live in
+// sim::SimConfig (sim/world.hpp; DESIGN.md §12) and reach experiments through
+// SimDeploymentConfig::sim. They are listed here because this header is the
+// knob index for deployments.
 #pragma once
 
 #include <cstddef>
@@ -145,20 +145,19 @@ struct PerfConfig {
   /// agree at solver precision (bench_hotpath checks this parity).
   bool early_send = false;
   /// Kernel chunk size override: elements per BLAS-1 chunk (rows-per-chunk
-  /// for SpMV is grain / 4, clamped >= 1). 0 keeps the JACEPP_GRAIN /
-  /// built-in default (linalg::kVectorOpGrain). Applied process-wide at
-  /// deployment build time via linalg::set_kernel_grain().
+  /// for SpMV is grain / 4, clamped >= 1). 0 keeps the built-in default
+  /// (linalg::kVectorOpGrain). Applied process-wide at deployment build time
+  /// via linalg::set_kernel_grain().
   std::size_t grain = 0;
   /// Recycle message-body buffers through serial::BufferPool instead of
   /// freeing them on last-ref release. Bit-transparent to results.
   bool pool_buffers = true;
-  /// Run compute kernels through the runtime-dispatched SIMD layer
-  /// (linalg/simd.hpp; DESIGN.md §10). Off — the default — is bit-identical
-  /// to the scalar kernels. On, element-wise kernels stay bit-identical and
-  /// reductions reassociate within fixed-width lanes: bitwise reproducible
-  /// run to run on a given ISA level, and off-vs-on agree at solver
-  /// precision. Applied process-wide at deployment build time via
-  /// linalg::simd::set_enabled().
+  /// Select the vector tables of the runtime-dispatched SIMD layer
+  /// (linalg/simd.hpp; DESIGN.md §10). Off — the default — runs its scalar
+  /// table. On, element-wise kernels stay bit-identical and reductions
+  /// reassociate within fixed-width lanes: bitwise reproducible run to run
+  /// on a given ISA level, and off-vs-on agree at solver precision. Applied
+  /// process-wide at deployment build time via linalg::simd::set_enabled().
   bool simd = false;
   /// Build a SELL-slice twin of each Poisson block matrix and route the inner
   /// CG's SpMV-shaped kernels through it (linalg/csr_sell.hpp). Only pays off

@@ -41,9 +41,8 @@ struct SimDeploymentConfig {
   /// The all-zero default installs nothing.
   sim::ChurnScriptConfig churn;
   /// Simulator knobs, including the sharded-scheduler scale controls
-  /// `sim.shards` / `sim.worker_threads` (env fallback JACEPP_SIM_SHARDS;
-  /// DESIGN.md §12). The default (shards = 0 → 1) is bit-identical to the
-  /// single-queue scheduler.
+  /// `sim.shards` / `sim.worker_threads` (DESIGN.md §12). The default
+  /// (shards = 0 → 1) is bit-identical to the single-queue scheduler.
   sim::SimConfig sim;
   sim::FleetModel fleet;
 

@@ -202,6 +202,7 @@ void GenericMultisplitTask::restore(const serial::Bytes& state) {
   informative_count_ = reader.u64();
   JACEPP_CHECK(reader.ok(), "GenericMultisplitTask: malformed checkpoint");
   JACEPP_CHECK(x_local_.size() == block_.owned_size() &&
+                   owned_prev_.size() == block_.owned_size() &&
                    x_halo_.size() == config_.a.rows(),
                "GenericMultisplitTask: checkpoint shape mismatch");
   last_received_.clear();

@@ -14,8 +14,8 @@ namespace jacepp::linalg {
 /// determinism contract); matrices shorter than this always run serially.
 /// Sized so a chunk is several microseconds of work on a ~5 nnz/row stencil —
 /// below that, pool dispatch dominates the row loop. The live value is
-/// spmv_row_grain() (vector_ops.hpp), which tracks the perf.grain /
-/// JACEPP_GRAIN override at a fixed 4:1 element:row ratio.
+/// spmv_row_grain() (vector_ops.hpp), which tracks the perf.grain override at
+/// a fixed 4:1 element:row ratio.
 inline constexpr std::size_t kSpmvRowGrain = 1024;
 
 /// Immutable CSR sparse matrix (row-major). Build via CsrBuilder.

@@ -1,9 +1,7 @@
 #include "linalg/fused.hpp"
 
-#include <algorithm>
 #include <cmath>
 
-#include "linalg/simd.hpp"
 #include "support/assert.hpp"
 #include "support/thread_pool.hpp"
 
@@ -20,26 +18,10 @@ double spmv_residual_norm2(const CsrMatrix& a, const Vector& x, const Vector& b,
   const double* xs = x.data();
   const double* bs = b.data();
   double* rs = r.data();
-  const bool vec = simd::active();
   const double acc = compute_pool().parallel_reduce(
       0, a.rows(), spmv_row_grain(), 0.0,
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) {
-          return simd::spmv_residual(row_ptr, col_idx, values, xs, bs, rs, lo,
-                                     hi);
-        }
-        double partial = 0.0;
-        for (std::size_t row = lo; row < hi; ++row) {
-          // Same FP sequence as multiply(): ax = 0.0 + row accumulator.
-          double ax = 0.0;
-          for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-            ax += values[k] * xs[col_idx[k]];
-          }
-          const double d = bs[row] - ax;
-          rs[row] = d;
-          partial += d * d;
-        }
-        return partial;
+        return simd::spmv_residual(row_ptr, col_idx, values, xs, bs, rs, lo, hi);
       },
       [](double a_, double b_) { return a_ + b_; });
   return std::sqrt(acc);
@@ -54,21 +36,10 @@ double spmv_dot(const CsrMatrix& a, const Vector& x, Vector& y) {
   const double* values = a.values().data();
   const double* xs = x.data();
   double* ys = y.data();
-  const bool vec = simd::active();
   return compute_pool().parallel_reduce(
       0, a.rows(), spmv_row_grain(), 0.0,
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) return simd::spmv_dot(row_ptr, col_idx, values, xs, ys, lo, hi);
-        double partial = 0.0;
-        for (std::size_t row = lo; row < hi; ++row) {
-          double ax = 0.0;
-          for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-            ax += values[k] * xs[col_idx[k]];
-          }
-          ys[row] = ax;
-          partial += xs[row] * ax;
-        }
-        return partial;
+        return simd::spmv_dot(row_ptr, col_idx, values, xs, ys, lo, hi);
       },
       [](double a_, double b_) { return a_ + b_; });
 }
@@ -77,17 +48,10 @@ double axpy_norm2(double alpha, const Vector& x, Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
   const double* xs = x.data();
   double* ys = y.data();
-  const bool vec = simd::active();
   const double acc = compute_pool().parallel_reduce(
       0, x.size(), vector_op_grain(), 0.0,
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) return simd::axpy_norm2sq(alpha, xs + lo, ys + lo, hi - lo);
-        double partial = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          ys[i] += alpha * xs[i];
-          partial += ys[i] * ys[i];
-        }
-        return partial;
+        return simd::axpy_norm2sq(alpha, xs + lo, ys + lo, hi - lo);
       },
       [](double a_, double b_) { return a_ + b_; });
   return std::sqrt(acc);
@@ -109,28 +73,11 @@ SweepStats relax_sweep_fused(const CsrMatrix& a, const Vector& inv_diag,
   const double* bs = b.data();
   const double* xin = x_in.data();
   double* xout = x_out.data();
-  const bool vec = simd::active();
   return compute_pool().parallel_reduce(
       row_lo, row_hi, spmv_row_grain(), SweepStats{},
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) {
-          const simd::SweepPartial p = simd::relax_sweep(
-              row_ptr, col_idx, values, inv_d, bs, xin, xout, omega, lo, hi);
-          return SweepStats{p.diff2, p.norm2};
-        }
-        SweepStats partial;
-        for (std::size_t row = lo; row < hi; ++row) {
-          double ax = 0.0;
-          for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
-            ax += values[k] * xin[col_idx[k]];
-          }
-          const double update = omega * inv_d[row] * (bs[row] - ax);
-          const double v = xin[row] + update;
-          xout[row] = v;
-          partial.diff2 += update * update;
-          partial.norm2 += v * v;
-        }
-        return partial;
+        return simd::relax_sweep(row_ptr, col_idx, values, inv_d, bs, xin, xout,
+                                 omega, lo, hi);
       },
       [](SweepStats a_, const SweepStats& b_) {
         a_.diff2 += b_.diff2;

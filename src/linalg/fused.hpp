@@ -16,6 +16,7 @@
 #include <cstddef>
 
 #include "linalg/csr.hpp"
+#include "linalg/simd.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace jacepp::linalg {
@@ -35,12 +36,6 @@ double spmv_dot(const CsrMatrix& a, const Vector& x, Vector& y);
 /// vector_op_grain() exactly like the unfused pair, so the result matches it
 /// bit-for-bit at EVERY pool size, not just 1.
 double axpy_norm2(double alpha, const Vector& x, Vector& y);
-
-/// Partial sums produced by one fused relaxation sweep.
-struct SweepStats {
-  double diff2 = 0.0;  ///< sum of squared per-row updates
-  double norm2 = 0.0;  ///< sum of squared new values
-};
 
 /// One weighted-Jacobi sweep over rows [row_lo, row_hi) of A, fused with the
 /// update statistics:

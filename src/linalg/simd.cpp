@@ -20,9 +20,9 @@ namespace {
 std::atomic<bool> g_enabled{false};
 
 // --- scalar table ------------------------------------------------------------
-// Byte-for-byte the loops the call sites in vector_ops.cpp / fused.cpp /
-// csr.cpp run when the layer is off; also the portable fallback for CPUs
-// below SSE2 (non-x86 builds).
+// The only scalar copy of each kernel: what every call site in vector_ops.cpp
+// / fused.cpp / csr.cpp runs when the layer is off (the default), and the
+// portable fallback for non-x86 builds.
 
 double dot_scalar(const double* x, const double* y, std::size_t n) {
   double acc = 0.0;
@@ -107,13 +107,13 @@ double spmv_dot_scalar(const std::uint32_t* row_ptr,
   return partial;
 }
 
-SweepPartial relax_sweep_scalar(const std::uint32_t* row_ptr,
-                                const std::uint32_t* col_idx,
-                                const double* values, const double* inv_diag,
-                                const double* b, const double* x_in,
-                                double* x_out, double omega, std::size_t row_lo,
-                                std::size_t row_hi) {
-  SweepPartial partial;
+SweepStats relax_sweep_scalar(const std::uint32_t* row_ptr,
+                              const std::uint32_t* col_idx,
+                              const double* values, const double* inv_diag,
+                              const double* b, const double* x_in,
+                              double* x_out, double omega, std::size_t row_lo,
+                              std::size_t row_hi) {
+  SweepStats partial;
   for (std::size_t row = row_lo; row < row_hi; ++row) {
     double ax = 0.0;
     for (std::uint32_t k = row_ptr[row]; k < row_ptr[row + 1]; ++k) {
@@ -439,7 +439,7 @@ __attribute__((target("avx2"))) double spmv_dot_avx2(
 /// parks the raw row dots in x_out, pass 2 streams the Jacobi update over
 /// them with 4-lane accumulators and the fixed-order hsum. Requires x_out
 /// to alias none of the inputs, which a Jacobi sweep needs anyway.
-__attribute__((target("avx2"))) SweepPartial relax_sweep_avx2(
+__attribute__((target("avx2"))) SweepStats relax_sweep_avx2(
     const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
     const double* values, const double* inv_diag, const double* b,
     const double* x_in, double* x_out, double omega, std::size_t row_lo,
@@ -462,7 +462,7 @@ __attribute__((target("avx2"))) SweepPartial relax_sweep_avx2(
     diff_acc = _mm256_add_pd(diff_acc, _mm256_mul_pd(upd, upd));
     norm_acc = _mm256_add_pd(norm_acc, _mm256_mul_pd(v, v));
   }
-  SweepPartial partial;
+  SweepStats partial;
   partial.diff2 = hsum256(diff_acc);
   partial.norm2 = hsum256(norm_acc);
   for (; row < row_hi; ++row) {
@@ -494,10 +494,10 @@ struct Ops {
                           std::size_t, std::size_t);
   double (*spmv_dot)(const std::uint32_t*, const std::uint32_t*, const double*,
                      const double*, double*, std::size_t, std::size_t);
-  SweepPartial (*relax_sweep)(const std::uint32_t*, const std::uint32_t*,
-                              const double*, const double*, const double*,
-                              const double*, double*, double, std::size_t,
-                              std::size_t);
+  SweepStats (*relax_sweep)(const std::uint32_t*, const std::uint32_t*,
+                            const double*, const double*, const double*,
+                            const double*, double*, double, std::size_t,
+                            std::size_t);
 };
 
 constexpr Ops kScalarOps = {
@@ -572,8 +572,6 @@ bool enabled() { return g_enabled.load(std::memory_order_acquire); }
 
 Level active_level() { return enabled() ? detected_level() : Level::scalar; }
 
-bool active() { return active_level() != Level::scalar; }
-
 std::size_t lane_width(Level level) {
   switch (level) {
     case Level::avx2:
@@ -588,10 +586,6 @@ std::size_t lane_width(Level level) {
 
 double dot(const double* x, const double* y, std::size_t n) {
   return active_ops().dot(x, y, n);
-}
-
-double norm2sq(const double* x, std::size_t n) {
-  return active_ops().dot(x, x, n);
 }
 
 void axpy(double alpha, const double* x, double* y, std::size_t n) {
@@ -638,11 +632,11 @@ double spmv_dot(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
   return active_ops().spmv_dot(row_ptr, col_idx, values, x, y, row_lo, row_hi);
 }
 
-SweepPartial relax_sweep(const std::uint32_t* row_ptr,
-                         const std::uint32_t* col_idx, const double* values,
-                         const double* inv_diag, const double* b,
-                         const double* x_in, double* x_out, double omega,
-                         std::size_t row_lo, std::size_t row_hi) {
+SweepStats relax_sweep(const std::uint32_t* row_ptr,
+                       const std::uint32_t* col_idx, const double* values,
+                       const double* inv_diag, const double* b,
+                       const double* x_in, double* x_out, double omega,
+                       std::size_t row_lo, std::size_t row_hi) {
   return active_ops().relax_sweep(row_ptr, col_idx, values, inv_diag, b, x_in,
                                   x_out, omega, row_lo, row_hi);
 }

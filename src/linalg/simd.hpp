@@ -2,10 +2,11 @@
 //
 // One binary carries three implementations of every kernel — AVX2, SSE2 and
 // scalar — and picks the widest one the executing CPU supports, once, via
-// CPUID (detected_level()). The whole layer sits behind the `perf.simd` knob:
-// with set_enabled(false) (the default) active_level() is scalar and every
-// wrapped call site in vector_ops.cpp / fused.cpp / csr.cpp runs its original
-// scalar loop untouched, bit-identical to the pre-SIMD code.
+// CPUID (detected_level()). Every chunk of the BLAS-1 and CSR kernels in
+// vector_ops.cpp / fused.cpp / csr.cpp runs through these entry points; the
+// scalar table in simd.cpp is the only scalar copy of those loops. The vector
+// tables sit behind the `perf.simd` knob: with set_enabled(false) (the
+// default) active_level() is scalar, so every call runs the scalar table.
 //
 // Determinism contract (mirrors the fused-kernel contract in fused.hpp):
 //   * enabled: each kernel uses FIXED-width lane accumulators and reduces the
@@ -25,6 +26,17 @@
 #include <cstddef>
 #include <cstdint>
 
+namespace jacepp::linalg {
+
+/// Partial sums produced by one fused relaxation sweep (relax_sweep_fused in
+/// fused.hpp, one chunk of it here).
+struct SweepStats {
+  double diff2 = 0.0;  ///< sum of squared per-row updates
+  double norm2 = 0.0;  ///< sum of squared new values
+};
+
+}  // namespace jacepp::linalg
+
 namespace jacepp::linalg::simd {
 
 /// ISA dispatch level, ordered by width.
@@ -37,16 +49,13 @@ enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2 };
 [[nodiscard]] const char* level_name(Level level);
 
 /// `perf.simd` knob: process-wide, set at deployment build time (like
-/// set_kernel_grain). Off by default.
+/// set_kernel_grain). Off by default. Each chunk reads it, so flipping it
+/// while a kernel is in flight can mix levels within that call.
 void set_enabled(bool on);
 [[nodiscard]] bool enabled();
 
 /// detected_level() when enabled, Level::scalar otherwise.
 [[nodiscard]] Level active_level();
-
-/// True when a vector unit is both available and switched on — the call
-/// sites' "take the SIMD branch" predicate.
-[[nodiscard]] bool active();
 
 /// Doubles per vector register at `level` (1 / 2 / 4) — the unit tests use it
 /// to build remainder-lane edge cases (n = width ± 1).
@@ -56,9 +65,6 @@ void set_enabled(bool on);
 
 /// Σ x[i] * y[i].
 [[nodiscard]] double dot(const double* x, const double* y, std::size_t n);
-
-/// Σ x[i]².
-[[nodiscard]] double norm2sq(const double* x, std::size_t n);
 
 /// y[i] += alpha * x[i].
 void axpy(double alpha, const double* x, double* y, std::size_t n);
@@ -106,20 +112,14 @@ void spmv_add(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,
                               const double* values, const double* x, double* y,
                               std::size_t row_lo, std::size_t row_hi);
 
-/// Partial sums of one fused weighted-Jacobi sweep (fused.hpp SweepStats).
-struct SweepPartial {
-  double diff2 = 0.0;
-  double norm2 = 0.0;
-};
-
 /// x_out[row] = x_in[row] + omega * inv_diag[row] * (b[row] - (A x_in)[row]);
 /// accumulates diff2 / norm2 over the range.
-[[nodiscard]] SweepPartial relax_sweep(const std::uint32_t* row_ptr,
-                                       const std::uint32_t* col_idx,
-                                       const double* values,
-                                       const double* inv_diag, const double* b,
-                                       const double* x_in, double* x_out,
-                                       double omega, std::size_t row_lo,
-                                       std::size_t row_hi);
+[[nodiscard]] SweepStats relax_sweep(const std::uint32_t* row_ptr,
+                                     const std::uint32_t* col_idx,
+                                     const double* values,
+                                     const double* inv_diag, const double* b,
+                                     const double* x_in, double* x_out,
+                                     double omega, std::size_t row_lo,
+                                     std::size_t row_hi);
 
 }  // namespace jacepp::linalg::simd

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "linalg/simd.hpp"
 #include "support/assert.hpp"
@@ -13,30 +12,13 @@ namespace jacepp::linalg {
 
 namespace {
 
-/// Kernel grain resolved from the environment once (like JACEPP_THREADS):
-/// JACEPP_GRAIN, clamped to [1, 1 << 24]; 0 / unset / garbage falls back to
-/// the built-in default.
-std::size_t env_kernel_grain() {
-  static const std::size_t parsed = [] {
-    const char* env = std::getenv("JACEPP_GRAIN");
-    if (env == nullptr || *env == '\0') return std::size_t{0};
-    char* parse_end = nullptr;
-    const unsigned long value = std::strtoul(env, &parse_end, 10);
-    if (parse_end == env || value == 0) return std::size_t{0};
-    return std::min<std::size_t>(value, std::size_t{1} << 24);
-  }();
-  return parsed;
-}
-
 std::atomic<std::size_t> g_grain_override{0};
 
 }  // namespace
 
 std::size_t vector_op_grain() {
   const std::size_t override_grain = g_grain_override.load(std::memory_order_acquire);
-  if (override_grain != 0) return override_grain;
-  const std::size_t env = env_kernel_grain();
-  return env != 0 ? env : kVectorOpGrain;
+  return override_grain != 0 ? override_grain : kVectorOpGrain;
 }
 
 std::size_t spmv_row_grain() {
@@ -52,18 +34,9 @@ void axpy(double alpha, const Vector& x, Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
   const double* xs = x.data();
   double* ys = y.data();
-  // The simd decision is latched before the parallel region so one kernel
-  // call never mixes paths (set_enabled happens at deployment build time).
-  const bool vec = simd::active();
   compute_pool().parallel_for(0, x.size(), vector_op_grain(),
                               [=](std::size_t lo, std::size_t hi) {
-                                if (vec) {
-                                  simd::axpy(alpha, xs + lo, ys + lo, hi - lo);
-                                  return;
-                                }
-                                for (std::size_t i = lo; i < hi; ++i) {
-                                  ys[i] += alpha * xs[i];
-                                }
+                                simd::axpy(alpha, xs + lo, ys + lo, hi - lo);
                               });
 }
 
@@ -71,17 +44,10 @@ void axpby(double alpha, const Vector& x, double beta, Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
   const double* xs = x.data();
   double* ys = y.data();
-  const bool vec = simd::active();
   compute_pool().parallel_for(0, x.size(), vector_op_grain(),
                               [=](std::size_t lo, std::size_t hi) {
-                                if (vec) {
-                                  simd::axpby(alpha, xs + lo, beta, ys + lo,
-                                              hi - lo);
-                                  return;
-                                }
-                                for (std::size_t i = lo; i < hi; ++i) {
-                                  ys[i] = alpha * xs[i] + beta * ys[i];
-                                }
+                                simd::axpby(alpha, xs + lo, beta, ys + lo,
+                                            hi - lo);
                               });
 }
 
@@ -89,14 +55,10 @@ double dot(const Vector& x, const Vector& y) {
   JACEPP_ASSERT(x.size() == y.size());
   const double* xs = x.data();
   const double* ys = y.data();
-  const bool vec = simd::active();
   return compute_pool().parallel_reduce(
       0, x.size(), vector_op_grain(), 0.0,
       [=](std::size_t lo, std::size_t hi) {
-        if (vec) return simd::dot(xs + lo, ys + lo, hi - lo);
-        double acc = 0.0;
-        for (std::size_t i = lo; i < hi; ++i) acc += xs[i] * ys[i];
-        return acc;
+        return simd::dot(xs + lo, ys + lo, hi - lo);
       },
       [](double a, double b) { return a + b; });
 }
@@ -157,30 +119,18 @@ void hadamard(const Vector& x, const Vector& y, Vector& out) {
   const double* xs = x.data();
   const double* ys = y.data();
   double* os = out.data();
-  const bool vec = simd::active();
   compute_pool().parallel_for(0, x.size(), vector_op_grain(),
                               [=](std::size_t lo, std::size_t hi) {
-                                if (vec) {
-                                  simd::hadamard(xs + lo, ys + lo, os + lo,
-                                                 hi - lo);
-                                  return;
-                                }
-                                for (std::size_t i = lo; i < hi; ++i) {
-                                  os[i] = xs[i] * ys[i];
-                                }
+                                simd::hadamard(xs + lo, ys + lo, os + lo,
+                                               hi - lo);
                               });
 }
 
 void scale(Vector& x, double alpha) {
   double* xs = x.data();
-  const bool vec = simd::active();
   compute_pool().parallel_for(0, x.size(), vector_op_grain(),
                               [=](std::size_t lo, std::size_t hi) {
-                                if (vec) {
-                                  simd::scale(xs + lo, alpha, hi - lo);
-                                  return;
-                                }
-                                for (std::size_t i = lo; i < hi; ++i) xs[i] *= alpha;
+                                simd::scale(xs + lo, alpha, hi - lo);
                               });
 }
 
@@ -198,16 +148,9 @@ void residual(const Vector& b, const Vector& ax, Vector& r) {
   const double* bs = b.data();
   const double* as = ax.data();
   double* rs = r.data();
-  const bool vec = simd::active();
   compute_pool().parallel_for(0, b.size(), vector_op_grain(),
                               [=](std::size_t lo, std::size_t hi) {
-                                if (vec) {
-                                  simd::sub(bs + lo, as + lo, rs + lo, hi - lo);
-                                  return;
-                                }
-                                for (std::size_t i = lo; i < hi; ++i) {
-                                  rs[i] = bs[i] - as[i];
-                                }
+                                simd::sub(bs + lo, as + lo, rs + lo, hi - lo);
                               });
 }
 

@@ -12,11 +12,11 @@
 // any FIXED grain the chunk-stability contract holds across all pool sizes
 // >= 2, and the pool-size-1 result never depends on the grain at all.
 //
-// With `perf.simd` on (linalg/simd.hpp) each chunk body runs the dispatched
-// vector kernel instead of the scalar loop: element-wise kernels stay
+// Each chunk body of the BLAS-1 kernels is a linalg/simd.hpp entry point.
+// With `perf.simd` off (the default) that is the scalar table, a plain loop;
+// on, it is the dispatched vector kernel: element-wise kernels stay
 // bit-identical, reductions reassociate within fixed-width lanes (still
-// bitwise reproducible run to run on a given ISA). simd off — the default —
-// leaves every loop exactly as before the SIMD layer existed.
+// bitwise reproducible run to run on a given ISA).
 #pragma once
 
 #include <cstddef>
@@ -36,8 +36,7 @@ using Vector = support::AlignedVector<double>;
 inline constexpr std::size_t kVectorOpGrain = 4096;
 
 /// Current elements-per-chunk for BLAS-1 kernels: the `perf.grain` override if
-/// set_kernel_grain() installed one, else JACEPP_GRAIN from the environment,
-/// else kVectorOpGrain.
+/// set_kernel_grain() installed one, else kVectorOpGrain.
 [[nodiscard]] std::size_t vector_op_grain();
 
 /// Current rows-per-chunk for CSR row-loop kernels: vector_op_grain() / 4
@@ -46,7 +45,7 @@ inline constexpr std::size_t kVectorOpGrain = 4096;
 [[nodiscard]] std::size_t spmv_row_grain();
 
 /// Install a process-wide grain override (`perf.grain`); 0 restores the
-/// JACEPP_GRAIN / built-in default. Not synchronized against kernels already
+/// built-in default. Not synchronized against kernels already
 /// in flight — set it at deployment build time, like ScopedComputePool.
 void set_kernel_grain(std::size_t grain);
 

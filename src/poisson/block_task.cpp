@@ -351,7 +351,10 @@ void PoissonTask::restore(const serial::Bytes& state) {
   local_error_ = reader.f64();
   iterations_done_ = reader.u64();
   JACEPP_CHECK(reader.ok(), "PoissonTask: malformed checkpoint");
-  JACEPP_CHECK(x_ext_.size() == block_.ext_size(),
+  JACEPP_CHECK(x_ext_.size() == block_.ext_size() &&
+                   owned_prev_.size() == block_.owned_size() &&
+                   lower_boundary_.size() == config_.n &&
+                   upper_boundary_.size() == config_.n,
                "PoissonTask: checkpoint shape mismatch");
   lower_fresh_ = upper_fresh_ = false;
   ckpt_solve_dirty_ = ckpt_lower_dirty_ = ckpt_upper_dirty_ = true;

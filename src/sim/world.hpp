@@ -84,10 +84,9 @@ struct SimConfig {
   /// elapses. Makes slow-consumer backlogs — and what coalescing saves — show
   /// up in delivered-message counts instead of just queue lengths.
   bool serialize_links = false;
-  /// Logical world partitions (`sim.shards`). 0 resolves the
-  /// JACEPP_SIM_SHARDS environment variable (clamped to [1, 4096]), absent or
-  /// invalid falling back to 1. 1 is the classic single-queue scheduler,
-  /// bit-identical to the pre-shard implementation.
+  /// Logical world partitions (`sim.shards`), clamped to [1, 4096]; 0 means
+  /// 1. 1 is the classic single-queue scheduler, bit-identical to the
+  /// pre-shard implementation.
   std::size_t shards = 0;
   /// Worker threads driving shard rounds. 0 sizes the pool automatically
   /// (min(shards, hardware threads)); an explicit value forces that many

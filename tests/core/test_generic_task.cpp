@@ -117,6 +117,39 @@ TEST(GenericTask, CheckpointRestoreRoundTrip) {
   EXPECT_DOUBLE_EQ(replica.local_error(), task.local_error());
 }
 
+TEST(GenericTaskDeathTest, RestoreRejectsShortOwnedPrev) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::size_t n = 24;
+  const auto a = random_spd(n, 21);
+  linalg::Vector b(n, 1.0);
+  const auto app = generic_app(a, b, 3);
+  GenericMultisplitTask task;
+  task.init(app, 1);
+  task.iterate();
+  const auto snapshot = task.checkpoint();
+
+  // Re-encode x_local_ | owned_prev_ (one entry short) | x_halo_ + the tail.
+  serial::Reader reader(snapshot);
+  serial::Writer writer;
+  writer.f64_vector(reader.f64_vector<linalg::Vector>());
+  auto prev = reader.f64_vector<linalg::Vector>();
+  prev.pop_back();
+  writer.f64_vector(prev);
+  writer.f64_vector(reader.f64_vector<linalg::Vector>());
+  serial::Bytes bad = writer.take();
+  bad.insert(bad.end(),
+             snapshot.end() - static_cast<std::ptrdiff_t>(reader.remaining()),
+             snapshot.end());
+
+  EXPECT_DEATH(
+      {
+        GenericMultisplitTask replica;
+        replica.init(app, 1);
+        replica.restore(bad);
+      },
+      "checkpoint shape mismatch");
+}
+
 TEST(GenericTask, EndToEndOnP2PNetworkWithFailure) {
   const std::size_t n = 36;
   const auto a = random_spd(n, 31);

@@ -207,7 +207,7 @@ TEST(FusedKernels, ParallelResultsAreCloseToSerial) {
   EXPECT_NEAR(parallel, serial, 1e-12 * (serial + 1.0));
 }
 
-// --- Grain knob (perf.grain / JACEPP_GRAIN) --------------------------------
+// --- Grain knob (perf.grain) ----------------------------------------------
 
 TEST(KernelGrain, OverrideIsVisibleAndRestorable) {
   EXPECT_EQ(vector_op_grain(), kVectorOpGrain);

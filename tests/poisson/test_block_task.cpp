@@ -174,6 +174,43 @@ TEST(BlockTask, RestoredTaskContinuesConverging) {
   EXPECT_LT(assembled_residual(tasks, n), 1e-7);
 }
 
+/// `state` with its `field`-th f64 vector (0 = x_ext, 1 = owned_prev,
+/// 2 = lower line, 3 = upper line) one entry short; the scalar tail is kept.
+serial::Bytes shorten_field(const serial::Bytes& state, int field) {
+  serial::Reader reader(state);
+  serial::Writer writer;
+  for (int f = 0; f < 4; ++f) {
+    auto v = reader.f64_vector<linalg::Vector>();
+    if (f == field) v.pop_back();
+    writer.f64_vector(v);
+  }
+  serial::Bytes out = writer.take();
+  out.insert(out.end(),
+             state.end() - static_cast<std::ptrdiff_t>(reader.remaining()),
+             state.end());
+  return out;
+}
+
+TEST(BlockTaskDeathTest, RestoreRejectsShortVectors) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto app = make_app(16, 4);
+  PoissonTask source;
+  source.init(app, 1);
+  source.iterate();
+  const auto snapshot = source.checkpoint();
+  for (const int field : {1, 2, 3}) {
+    const auto bad = shorten_field(snapshot, field);
+    EXPECT_DEATH(
+        {
+          PoissonTask replacement;
+          replacement.init(app, 1);
+          replacement.restore(bad);
+        },
+        "checkpoint shape mismatch")
+        << "field " << field;
+  }
+}
+
 TEST(BlockTask, MalformedDataDropped) {
   auto app = make_app(16, 2);
   PoissonTask task;
