@@ -3,10 +3,10 @@
 //                (micro timings + CG end-to-end), with the pool-size-1
 //                bit-identity gate (memcmp over doubles);
 //   simd       : the runtime-dispatched vector kernels (linalg/simd.hpp) off
-//                vs on — SpMV, the fused reductions, BLAS-1 dot, the SELL
-//                padded layout — with hard gates: element-wise off-vs-on
-//                bit-identity, on-path bitwise replay, and CG off-vs-on
-//                parity at solver precision. `--simd-level` prints the
+//                vs on — the BLAS-1 reductions and the SELL padded layout
+//                (the CSR row kernels are scalar at every level) — with hard
+//                gates: element-wise off-vs-on bit-identity, on-path bitwise
+//                replay, and CG off-vs-on parity at solver precision. `--simd-level` prints the
 //                CPUID-detected dispatch level and exits (run_bench.sh
 //                stamps it into the result meta);
 //   early_send : boundary-preview publish off vs on in the deployment sim
@@ -235,12 +235,9 @@ void print_simd_row(const char* key, const SimdKernelRow& r, bool last) {
 struct SimdReport {
   std::size_t side = 0;
   std::size_t repeats = 0;
-  SimdKernelRow spmv;
-  SimdKernelRow spmv_residual;
-  SimdKernelRow spmv_dot;
   SimdKernelRow axpy_norm2;
   SimdKernelRow dot;
-  SimdKernelRow sell_spmv;  ///< off = CSR simd-on, on = SELL simd-on
+  SimdKernelRow sell_spmv;  ///< off = CSR (scalar), on = SELL simd-on
   double sell_fill_ratio = 0.0;
   double cg_off_ms = 0.0;
   double cg_on_ms = 0.0;
@@ -273,12 +270,7 @@ SimdReport run_simd(std::size_t side, std::size_t repeats) {
     linalg::simd::set_enabled(false);
   };
 
-  linalg::Vector y, r;
   double acc = 0.0;
-  timed_both(rep.spmv, [&] { a.multiply(x, y); });
-  timed_both(rep.spmv_residual,
-             [&] { acc = linalg::spmv_residual_norm2(a, x, b, r); });
-  timed_both(rep.spmv_dot, [&] { acc = linalg::spmv_dot(a, x, y); });
   {
     linalg::Vector ym = b;
     timed_both(rep.axpy_norm2,
@@ -287,9 +279,11 @@ SimdReport run_simd(std::size_t side, std::size_t repeats) {
   timed_both(rep.dot, [&] { acc = linalg::dot(x, b); });
   (void)acc;
 
-  // SELL vs CSR, both with the vector unit on: the layout's own contribution.
+  // SELL vs CSR with the vector unit on. CSR runs its scalar rows at every
+  // level, so this is the whole gain of the vector SpMV.
   {
     const linalg::SellMatrix sell(a);
+    linalg::Vector y;
     rep.sell_fill_ratio = sell.fill_ratio();
     linalg::simd::set_enabled(true);
     rep.sell_spmv.off_ns = time_ns(repeats, [&] { a.multiply(x, y); });
@@ -540,9 +534,6 @@ int main(int argc, char** argv) {
   std::printf("    \"grid_side\": %zu,\n", simd.side);
   std::printf("    \"repeats\": %zu,\n", simd.repeats);
   std::printf("    \"kernels\": {\n");
-  print_simd_row("spmv", simd.spmv, false);
-  print_simd_row("spmv_residual_norm2", simd.spmv_residual, false);
-  print_simd_row("spmv_dot", simd.spmv_dot, false);
   print_simd_row("axpy_norm2", simd.axpy_norm2, false);
   print_simd_row("dot", simd.dot, true);
   std::printf("    },\n");
@@ -607,14 +598,10 @@ int main(int argc, char** argv) {
                fused.axpy.fused_ns, fused.cg_unfused_ms, fused.cg_fused_ms,
                fused.ok ? "yes" : "NO");
   std::fprintf(stderr,
-               "simd       : %s; spmv %.0f->%.0f ns (%.2fx), residual "
-               "%.0f->%.0f ns, dot %.0f->%.0f ns, sell spmv %.0f->%.0f ns, "
-               "cg %.2f->%.2f ms, gates %s\n",
+               "simd       : %s; axpy_norm2 %.0f->%.0f ns, dot %.0f->%.0f ns, "
+               "sell spmv %.0f->%.0f ns, cg %.2f->%.2f ms, gates %s\n",
                linalg::simd::level_name(linalg::simd::detected_level()),
-               simd.spmv.off_ns, simd.spmv.on_ns,
-               simd.spmv.on_ns > 0.0 ? simd.spmv.off_ns / simd.spmv.on_ns
-                                     : 0.0,
-               simd.spmv_residual.off_ns, simd.spmv_residual.on_ns,
+               simd.axpy_norm2.off_ns, simd.axpy_norm2.on_ns,
                simd.dot.off_ns, simd.dot.on_ns, simd.sell_spmv.off_ns,
                simd.sell_spmv.on_ns, simd.cg_off_ms, simd.cg_on_ms,
                simd.ok ? "yes" : "NO");

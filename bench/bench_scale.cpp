@@ -38,7 +38,6 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -55,6 +54,7 @@
 #include "serial/serial.hpp"
 #include "sim/machine.hpp"
 #include "sim/world.hpp"
+#include "support/digest.hpp"
 #include "support/flags.hpp"
 
 using namespace jacepp;
@@ -320,17 +320,6 @@ SkewCaseResult run_skew_case(std::size_t daemons, std::size_t hubs,
 // ---------------------------------------------------------------------------
 // Control-plane sweep (DESIGN.md §13)
 // ---------------------------------------------------------------------------
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 /// Replays the spawner's reservation pattern against the super-peer overlay:
 /// one batch request every `gap` simulated seconds, routed the way the

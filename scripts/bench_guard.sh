@@ -16,13 +16,9 @@
 #     BENCH_GUARD_SKIP_BASELINE=1.
 #  2. SIMD speedup floors — the off-vs-on ratios inside BENCH_hotpath.json
 #     are measured within one run on one machine, so they are portable across
-#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x, the
-#     SELL SpMV 1.2x, and the gathered CSR rows must stay above 0.6x (i.e. no
-#     worse than a modest regression vs scalar — they hover near parity on
-#     5-nnz stencil rows and swing +/-30% with scheduler noise; the floor is
-#     a cliff detector for bugs like a serializing gather dependency, not a
-#     perf target). Floors only apply when the runtime dispatcher actually
-#     selected avx2.
+#     machines. On an AVX2 machine the BLAS-1 reductions must clear 1.5x and
+#     the SELL SpMV (against the scalar CSR rows) 1.2x. Floors only apply when
+#     the runtime dispatcher actually selected avx2.
 #  3. Sharded-scheduler floor — inside BENCH_scale.json, best sharded
 #     events/sec at the 1k-daemon tier vs single-queue, measured within one
 #     run. The floor is 1.0x with the guard tolerance applied (passes while
@@ -31,36 +27,10 @@
 #     hovers around 1.0 with scheduler noise, so this is a cliff detector for
 #     bugs like an accidentally serializing round barrier, not a speedup
 #     target. The real speedup lives at the 10k tier (see EXPERIMENTS.md).
-#  4. Control-plane floors — also inside BENCH_scale.json and also within-run
-#     counters, so machine-portable. Three hard gates from DESIGN.md §13:
-#     (a) with N super-peers no single one may serve more than
-#         share_bound (1/N + tolerance) of reservation traffic,
-#     (b) diffusion-based detection must keep spawner-bound convergence
-#         traffic at O(1) per application (spawner_conv_msgs <= bound),
-#     (c) the decentralized plane must replay bit-identically across
-#         scheduler shard counts (cp_determinism.ok).
-#  5. Churn / voting floors (DESIGN.md §14) — also inside BENCH_scale.json.
-#     All sim-time counters on a pinned seed, so deterministic and
-#     machine-portable:
-#     (a) reputation-aware placement must not increase the replacement count
-#         vs random placement on the committed churn ablation, and must not
-#         increase sim execution time beyond the recorded tolerance,
-#     (b) redundant-execution voting (rep.redundancy=3) must flag exactly the
-#         injected liars — every liar caught, zero false positives.
-#  6. Round-engine floors (DESIGN.md §12) — also inside BENCH_scale.json,
-#     all within-run sim counters, so strict on any machine:
-#     (a) on the hub-pinned skew case the deterministic rebalancer must cut
-#         max/mean shard occupancy by at least the recorded bound (1.3x)
-#         while performing at least one migration, with every scenario
-#         counter bit-equal to the rebalance-off run AND to a forced
-#         2-thread rerun (skew_floor.counters_equal / .thread_invariant),
-#     (b) on the heterogeneous-wire case adaptive per-shard horizons must
-#         drain the same scenario in at least the recorded bound (1.2x)
-#         fewer barrier rounds than the uniform global horizon, with
-#         identical counters (adaptive_lookahead block).
-#     The per-case rounds counts also feed the baseline comparison as cliff
-#     detectors: a lookahead regression shows up as a rounds blow-up long
-#     before it shows up in 1-core wall time.
+#
+# The other within-run floors in BENCH_scale.json (control plane, churn /
+# voting, skew rebalance, adaptive lookahead) are not re-checked here:
+# bench_scale itself exits non-zero when any of them fails.
 #
 # Usage: scripts/bench_guard.sh BENCH_micro.json [BENCH_hotpath.json ...]
 #        BENCH_GUARD_STRICT=1 BENCH_GUARD_SKIP_BASELINE=1 scripts/bench_guard.sh BENCH_hotpath.json
@@ -118,73 +88,10 @@ simd_floor_checks() {
     [
       {metric: "simd/dot",                 value: (.kernels.dot.off_ns / .kernels.dot.on_ns),                                 floor: 1.5},
       {metric: "simd/axpy_norm2",          value: (.kernels.axpy_norm2.off_ns / .kernels.axpy_norm2.on_ns),                   floor: 1.5},
-      {metric: "simd/sell_spmv",           value: .sell.speedup,                                                              floor: 1.2},
-      {metric: "simd/spmv",                value: (.kernels.spmv.off_ns / .kernels.spmv.on_ns),                               floor: 0.6},
-      {metric: "simd/spmv_residual_norm2", value: (.kernels.spmv_residual_norm2.off_ns / .kernels.spmv_residual_norm2.on_ns), floor: 0.6},
-      {metric: "simd/spmv_dot",            value: (.kernels.spmv_dot.off_ns / .kernels.spmv_dot.on_ns),                       floor: 0.6}
+      {metric: "simd/sell_spmv",           value: .sell.speedup,                                                              floor: 1.2}
     ][] |
     select(.value < .floor) |
     "bench-guard: FLOOR \(.metric): \(.value * 1000 | floor / 1000)x below floor \(.floor)x"
-  ' "${file}" 2>/dev/null
-}
-
-# Control-plane floors (see header, check 4). All within-run counters, no
-# tolerance knob: the bounds are already baked into the bench output.
-cp_floor_checks() {
-  local file="$1"
-  jq -r '
-    ((.cp_floor // empty)
-      | select(.max_share > .share_bound)
-      | "bench-guard: FLOOR cp/reservation_share@\(.daemons)d/\(.super_peers)sp: \(.max_share * 1000 | floor / 1000) above bound \(.share_bound)"),
-    ((.cp_floor // empty)
-      | select(.spawner_conv_msgs > .conv_msgs_bound)
-      | "bench-guard: FLOOR cp/spawner_conv_msgs: \(.spawner_conv_msgs) above O(1) bound \(.conv_msgs_bound)"),
-    ((.cp_determinism // empty)
-      | select(.ok != true)
-      | "bench-guard: FLOOR cp/shard_determinism: digest \(.shards1_digest) (shards=1) != \(.shards4_digest) (shards=4)")
-  ' "${file}" 2>/dev/null
-}
-
-# Churn / voting floors (see header, check 5). Pinned-seed sim-time counters,
-# so deterministic across machines; no tolerance knob beyond the recorded one.
-churn_floor_checks() {
-  local file="$1"
-  jq -r '
-    ((.churn_floor // empty)
-      | select(.rep_replacements > .random_replacements)
-      | "bench-guard: FLOOR churn/replacements: reputation placement \(.rep_replacements) above random \(.random_replacements)"),
-    ((.churn_floor // empty)
-      | select(.rep_exec_s > .random_exec_s * .exec_tolerance)
-      | "bench-guard: FLOOR churn/exec_time: reputation \(.rep_exec_s)s above random \(.random_exec_s)s x \(.exec_tolerance)"),
-    ((.voting_floor // empty)
-      | select(.ok != true)
-      | "bench-guard: FLOOR voting/detection: redundancy-\(.redundancy) voting did not flag exactly the injected liars")
-  ' "${file}" 2>/dev/null
-}
-
-# Round-engine floors (see header, check 6). Pure sim counters measured
-# within one run — no tolerance knob, the bounds come from the bench output.
-round_engine_floor_checks() {
-  local file="$1"
-  jq -r '
-    ((.skew_floor // empty)
-      | select(.improvement < .bound)
-      | "bench-guard: FLOOR skew/occupancy@\(.daemons)d: \(.improvement * 1000 | floor / 1000)x below bound \(.bound)x (\(.occupancy_off) -> \(.occupancy_on))"),
-    ((.skew_floor // empty)
-      | select(.migrations == 0)
-      | "bench-guard: FLOOR skew/migrations@\(.daemons)d: rebalancer performed no migrations on the skewed case"),
-    ((.skew_floor // empty)
-      | select(.counters_equal != true)
-      | "bench-guard: FLOOR skew/counters@\(.daemons)d: rebalanced run diverged from the rebalance-off scenario counters"),
-    ((.skew_floor // empty)
-      | select(.thread_invariant != true)
-      | "bench-guard: FLOOR skew/thread_invariance@\(.daemons)d: 2-thread rerun diverged from the 1-thread rebalanced run"),
-    ((.adaptive_lookahead // empty)
-      | select(.ratio < .bound)
-      | "bench-guard: FLOOR adaptive/rounds@\(.daemons)d: \(.ratio * 1000 | floor / 1000)x below bound \(.bound)x (\(.uniform_rounds) -> \(.adaptive_rounds) rounds)"),
-    ((.adaptive_lookahead // empty)
-      | select(.counters_equal != true)
-      | "bench-guard: FLOOR adaptive/counters@\(.daemons)d: adaptive horizons changed the scenario counters")
   ' "${file}" 2>/dev/null
 }
 
@@ -225,27 +132,6 @@ for file in "$@"; do
       total_warnings=$((total_warnings + $(echo "${scale_violations}" | wc -l)))
     else
       echo "bench-guard: ${name}: sharded throughput floor holds"
-    fi
-    cp_violations="$(cp_floor_checks "${file}")"
-    if [[ -n "${cp_violations}" ]]; then
-      echo "${cp_violations}"
-      total_warnings=$((total_warnings + $(echo "${cp_violations}" | wc -l)))
-    else
-      echo "bench-guard: ${name}: control-plane floors hold"
-    fi
-    churn_violations="$(churn_floor_checks "${file}")"
-    if [[ -n "${churn_violations}" ]]; then
-      echo "${churn_violations}"
-      total_warnings=$((total_warnings + $(echo "${churn_violations}" | wc -l)))
-    else
-      echo "bench-guard: ${name}: churn placement and voting floors hold"
-    fi
-    round_violations="$(round_engine_floor_checks "${file}")"
-    if [[ -n "${round_violations}" ]]; then
-      echo "${round_violations}"
-      total_warnings=$((total_warnings + $(echo "${round_violations}" | wc -l)))
-    else
-      echo "bench-guard: ${name}: round-engine rebalance and adaptive-lookahead floors hold"
     fi
   fi
 

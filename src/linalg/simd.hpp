@@ -1,22 +1,24 @@
 // Portable-intrinsics SIMD layer for the iteration hot path (DESIGN.md §10).
 //
-// One binary carries three implementations of every kernel — AVX2, SSE2 and
-// scalar — and picks the widest one the executing CPU supports, once, via
+// One binary carries two implementations of every BLAS-1 kernel — AVX2 and
+// scalar — and picks AVX2 when the executing CPU supports it, once, via
 // CPUID (detected_level()). Every chunk of the BLAS-1 and CSR kernels in
 // vector_ops.cpp / fused.cpp / csr.cpp runs through these entry points; the
-// scalar table in simd.cpp is the only scalar copy of those loops. The vector
-// tables sit behind the `perf.simd` knob: with set_enabled(false) (the
-// default) active_level() is scalar, so every call runs the scalar table.
+// scalar bodies in simd.cpp are the only scalar copy of those loops. The
+// vector table sits behind the `perf.simd` knob: with set_enabled(false) (the
+// default) active_level() is scalar, so every call runs the scalar table. The
+// CSR row kernels are scalar at every level: the padded SELL layout
+// (csr_sell.hpp) is the vector SpMV.
 //
 // Determinism contract (mirrors the fused-kernel contract in fused.hpp):
-//   * enabled: each kernel uses FIXED-width lane accumulators and reduces the
-//     lanes in a fixed order, so for a given (input, chunking, ISA level) the
-//     result is bitwise reproducible run to run. Results may differ from the
-//     scalar path only by floating-point reassociation across lanes; solvers
-//     see off-vs-on agreement at solver precision (tested).
-//   * element-wise kernels (axpy, axpby, scale, hadamard, sub) perform the
-//     exact per-element operations of the scalar loop — no reassociation is
-//     possible, so they stay bit-identical to scalar at every level.
+//   * enabled: each reduction uses FIXED-width lane accumulators and reduces
+//     the lanes in a fixed order, so for a given (input, chunking, ISA level)
+//     the result is bitwise reproducible run to run. Results may differ from
+//     the scalar path only by floating-point reassociation across lanes;
+//     solvers see off-vs-on agreement at solver precision (tested).
+//   * element-wise kernels (axpy, axpby, scale, hadamard, sub) and the CSR
+//     row kernels perform the exact per-element operations of the scalar
+//     loop, so they stay bit-identical to scalar at every level.
 //
 // These are CHUNK kernels: the thread-pool call sites keep their existing
 // grain-based chunking (support/thread_pool.hpp) and invoke one of these per
@@ -40,12 +42,12 @@ struct SweepStats {
 namespace jacepp::linalg::simd {
 
 /// ISA dispatch level, ordered by width.
-enum class Level : int { scalar = 0, sse2 = 1, avx2 = 2 };
+enum class Level : int { scalar = 0, avx2 = 1 };
 
 /// Widest level the executing CPU supports (CPUID, evaluated once).
 [[nodiscard]] Level detected_level();
 
-/// Lowercase name for reports and bench metadata: "scalar", "sse2", "avx2".
+/// Lowercase name for reports and bench metadata: "scalar" or "avx2".
 [[nodiscard]] const char* level_name(Level level);
 
 /// `perf.simd` knob: process-wide, set at deployment build time (like
@@ -57,7 +59,7 @@ void set_enabled(bool on);
 /// detected_level() when enabled, Level::scalar otherwise.
 [[nodiscard]] Level active_level();
 
-/// Doubles per vector register at `level` (1 / 2 / 4) — the unit tests use it
+/// Doubles per vector register at `level` (1 / 4) — the unit tests use it
 /// to build remainder-lane edge cases (n = width ± 1).
 [[nodiscard]] std::size_t lane_width(Level level);
 
@@ -88,10 +90,9 @@ void sub(const double* a, const double* b, double* out, std::size_t n);
                                   std::size_t n);
 
 // --- CSR row-block chunk kernels -------------------------------------------
-// All operate on rows [row_lo, row_hi) of a CsrMatrix's raw arrays. The AVX2
-// variants vectorize the per-row nnz loop with 32-bit gathers; SSE2 has no
-// gather, so these fall back to scalar below AVX2 (BLAS-1 is where SSE2
-// pays).
+// All operate on rows [row_lo, row_hi) of a CsrMatrix's raw arrays. Scalar at
+// every level: gathering 5-nnz stencil rows lost to the scalar loop, so the
+// vector SpMV is SellMatrix (csr_sell.hpp).
 
 /// y[r] += Σ_k values[k] * x[col_idx[k]].
 void spmv_add(const std::uint32_t* row_ptr, const std::uint32_t* col_idx,

@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
@@ -28,20 +27,10 @@
 #include "rmi/rmi.hpp"
 #include "sim/churn.hpp"
 #include "sim/world.hpp"
+#include "support/digest.hpp"
 
 namespace jacepp::core {
 namespace {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 // ---------------------------------------------------------------------------
 // Synthetic task program (content-insensitive ticker: corrupted dependency

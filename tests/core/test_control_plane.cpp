@@ -4,7 +4,6 @@
 // convergence detection, and the reservation-staleness fixes.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -18,20 +17,10 @@
 #include "core/task.hpp"
 #include "rmi/rmi.hpp"
 #include "sim/world.hpp"
+#include "support/digest.hpp"
 
 namespace jacepp::core {
 namespace {
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 // ---------------------------------------------------------------------------
 // Synthetic task program (same shape as test_spawner's ticker)

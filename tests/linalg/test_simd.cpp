@@ -4,13 +4,15 @@
 //     pinned against committed golden bit patterns, so any drift in the
 //     scalar path (not just an off-vs-on divergence) fails loudly;
 //   * perf.simd ON must be bitwise reproducible run to run on a given ISA
-//     level, with element-wise kernels staying bit-identical to scalar;
+//     level, with element-wise kernels and the CSR row kernels (scalar at
+//     every level) staying bit-identical to scalar;
 //   * off-vs-on must agree at solver precision through CG and the
 //     multisplitting engine;
 //   * every kernel must handle the remainder lanes: n = 0, 1, width - 1,
 //     width, width + 1 for the detected vector width.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
@@ -71,10 +73,8 @@ TEST(SimdDispatch, OffByDefaultAndKnobControlsActiveLevel) {
 
 TEST(SimdDispatch, LevelNamesAndLaneWidths) {
   EXPECT_STREQ(simd::level_name(simd::Level::scalar), "scalar");
-  EXPECT_STREQ(simd::level_name(simd::Level::sse2), "sse2");
   EXPECT_STREQ(simd::level_name(simd::Level::avx2), "avx2");
   EXPECT_EQ(simd::lane_width(simd::Level::scalar), 1u);
-  EXPECT_EQ(simd::lane_width(simd::Level::sse2), 2u);
   EXPECT_EQ(simd::lane_width(simd::Level::avx2), 4u);
 }
 
@@ -266,6 +266,73 @@ TEST(SimdParity, SpmvOffVsOnWithinReassociation) {
   ASSERT_EQ(y_off.size(), y_on.size());
   for (std::size_t i = 0; i < y_off.size(); ++i) {
     EXPECT_NEAR(y_off[i], y_on[i], 1e-10 * (std::abs(y_off[i]) + 1.0)) << i;
+  }
+}
+
+/// Outputs of the four CSR kernels at the current `perf.simd` setting.
+struct CsrOutputs {
+  Vector y, r, ydot, x_out;
+  double rnorm = 0.0, dot = 0.0;
+  SweepStats sweep;
+};
+
+CsrOutputs run_csr_kernels(const CsrMatrix& a, const Vector& x,
+                           const Vector& b, const Vector& inv_diag) {
+  CsrOutputs o;
+  a.multiply(x, o.y);
+  o.rnorm = spmv_residual_norm2(a, x, b, o.r);
+  o.dot = spmv_dot(a, x, o.ydot);
+  o.x_out.assign(x.size(), 0.0);
+  o.sweep = relax_sweep_fused(a, inv_diag, b, x, o.x_out, 0.8, 0, a.rows());
+  return o;
+}
+
+/// Diagonally dominant band matrix with 13 entries per interior row: wider
+/// than two vector registers, so a lane-split row sum cannot hide behind the
+/// 5-point stencil's short rows.
+CsrMatrix wide_band_matrix(std::size_t n) {
+  CsrBuilder builder(n, n);
+  Rng rng(33);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = r >= 6 ? r - 6 : 0; c < std::min(n, r + 7); ++c) {
+      builder.add(r, c, c == r ? 20.0 : rng.uniform(-1.0, 1.0));
+    }
+  }
+  return builder.build();
+}
+
+TEST(SimdParity, CsrKernelsBitIdenticalOffVsOn) {
+  // The CSR row kernels are scalar at every level (SELL is the vector SpMV),
+  // so flipping perf.simd must not move a single bit of their outputs.
+  ThreadPool pool(1);
+  ScopedComputePool scoped(pool);
+  for (const CsrMatrix& a :
+       {poisson::assemble_laplacian(32), wide_band_matrix(1000)}) {
+    const Vector x = random_vector(a.cols(), 31);
+    const Vector b = random_vector(a.rows(), 32);
+    Vector inv_diag = a.diagonal();
+    for (double& d : inv_diag) d = 1.0 / d;
+
+    CsrOutputs off, on;
+    {
+      ScopedSimd simd_off(false);
+      off = run_csr_kernels(a, x, b, inv_diag);
+    }
+    {
+      ScopedSimd simd_on(true);
+      on = run_csr_kernels(a, x, b, inv_diag);
+    }
+    const std::string rows = " rows=" + std::to_string(a.rows());
+    EXPECT_TRUE(bitwise_equal(off.y, on.y)) << "multiply" << rows;
+    EXPECT_TRUE(bitwise_equal(off.r, on.r)) << "spmv_residual_norm2" << rows;
+    EXPECT_EQ(bits(off.rnorm), bits(on.rnorm)) << "spmv_residual_norm2" << rows;
+    EXPECT_TRUE(bitwise_equal(off.ydot, on.ydot)) << "spmv_dot" << rows;
+    EXPECT_EQ(bits(off.dot), bits(on.dot)) << "spmv_dot" << rows;
+    EXPECT_TRUE(bitwise_equal(off.x_out, on.x_out)) << "relax_sweep_fused" << rows;
+    EXPECT_EQ(bits(off.sweep.diff2), bits(on.sweep.diff2))
+        << "relax_sweep_fused" << rows;
+    EXPECT_EQ(bits(off.sweep.norm2), bits(on.sweep.norm2))
+        << "relax_sweep_fused" << rows;
   }
 }
 

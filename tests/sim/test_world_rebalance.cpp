@@ -13,7 +13,6 @@
 // RoundWorkerPool barrier handoff and the rebalancer's cross-shard event
 // migration with real worker threads.
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "sim/churn.hpp"
 #include "sim/machine.hpp"
 #include "sim/world.hpp"
+#include "support/digest.hpp"
 
 namespace jacepp::sim {
 namespace {
@@ -31,17 +31,6 @@ namespace {
 // (uniform lookahead, no rebalancing, concat+stable_sort merge). Every
 // configuration below must still produce it bit for bit.
 constexpr std::uint64_t kCommittedDigest = 11547216190727032663ull;
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 struct BeaconMsg {
   static constexpr net::MessageType kType = 9300;

@@ -16,28 +16,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "net/env.hpp"
 #include "rmi/rmi.hpp"
+#include "support/digest.hpp"
 
 namespace jacepp::sim {
 namespace {
-
-// --- digest helpers ---------------------------------------------------------
-
-std::uint64_t fnv(std::uint64_t h, std::uint64_t v) {
-  h ^= v;
-  return h * 0x100000001b3ull;
-}
-
-std::uint64_t bits_of(double d) {
-  std::uint64_t u = 0;
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
 
 // --- scenario ----------------------------------------------------------------
 // A bounded echo mesh: every node starts a staggered ping to its ring
