@@ -6,9 +6,9 @@
 //                vs on — the BLAS-1 reductions and the SELL padded layout
 //                (the CSR row kernels are scalar at every level) — with hard
 //                gates: element-wise off-vs-on bit-identity, on-path bitwise
-//                replay, and CG off-vs-on parity at solver precision. `--simd-level` prints the
-//                CPUID-detected dispatch level and exits (run_bench.sh
-//                stamps it into the result meta);
+//                replay, and CG off-vs-on parity at solver precision.
+//                `--simd-level` prints the CPUID-detected dispatch level and
+//                exits (run_bench.sh stamps it into the result meta);
 //   early_send : boundary-preview publish off vs on in the deployment sim
 //                (execution time, iterations, preview traffic) with the same
 //                parity discipline as bench_comm — off-vs-on agreement at
